@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weighting import WeightScheme, kernel_weight, log_kernel_weight
+from .weighting import WeightScheme, log_kernel_weight
 
 MH_TARGET_ACCEPT = 0.3
 MH_ADAPT_WINDOW = 50
@@ -130,11 +130,6 @@ def block_stats(data, locations):
         q[k] = ys @ ys
         counts[k] = rows.sum()
     return G, h, q, counts
-
-
-def location_kernel(kernel, dsub, b):
-    """Location-by-location weight matrix K[s, l] = kernel(d(s, l) | b)."""
-    return kernel_weight(WeightScheme(kernel, b if kernel != "unity" else None), dsub)
 
 
 def location_log_kernel(kernel, dsub, b):

@@ -184,30 +184,43 @@ def read_chains(path, kernel, d):
     """Rebuild a GwrPosterior from a chain dump.
 
     The kernel name and distance matrix are not stored in the dump and must
-    be supplied to make the posterior assessable.
+    be supplied to make the posterior assessable.  A dump that lacks a
+    (draw, location) row or repeats one, or whose rows for one draw disagree
+    on b or gamma, is rejected with ValueError.
     """
     from .bayes_gwr import BayesConfig, GwrPosterior
 
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        p = sum(1 for c in header if c.startswith("beta_"))
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty chain dump")
-    locations = tuple(dict.fromkeys(r[1] for r in rows))
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{path}: empty chain dump")
+    p = sum(1 for c in header if c.startswith("beta_"))
+    # columns draw, b, sigma2, beta_1..p, gamma_1..p; then the location column
+    num = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2,
+                     usecols=[0, *range(2, 4 + 2 * p)])
+    names = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
+                       usecols=1, dtype=str).tolist()
+    locations = tuple(dict.fromkeys(names))
     loc_index = {s: k for k, s in enumerate(locations)}
-    T = max(int(r[0]) for r in rows) + 1
+    k = np.array([loc_index[s] for s in names])
+    t = num[:, 0].astype(int)
+    if (t != num[:, 0]).any() or t.min() < 0:
+        raise ValueError(f"{path}: draw index that is not a nonnegative integer")
+    T = int(t.max()) + 1
     L = len(locations)
+    if (np.bincount(t * L + k, minlength=T * L) != 1).any():
+        raise ValueError(f"{path}: incomplete chain dump; every draw needs "
+                         f"exactly one row for each of the {L} locations")
     beta = np.empty((T, L, p))
     sigma2 = np.empty((T, L))
     gamma = np.empty((T, p), dtype=int)
     b = np.empty(T)
-    for r in rows:
-        t, k = int(r[0]), loc_index[r[1]]
-        b[t] = float(r[2])
-        sigma2[t, k] = float(r[3])
-        beta[t, k] = [float(v) for v in r[4:4 + p]]
-        gamma[t] = [int(v) for v in r[4 + p:4 + 2 * p]]
+    beta[t, k] = num[:, 3:3 + p]
+    sigma2[t, k] = num[:, 2]
+    b[t] = num[:, 1]
+    gamma[t] = num[:, 3 + p:]
+    if (b[t] != num[:, 1]).any() or (gamma[t] != num[:, 3 + p:]).any():
+        raise ValueError(f"{path}: rows of one draw disagree on b or gamma")
     cfg = BayesConfig(chain_length=T + 1, burn_in=1)
     return GwrPosterior(locations=locations, beta=beta, sigma2=sigma2,
                         gamma=gamma, b=b, acceptance_rate_b=float("nan"),

@@ -1,12 +1,23 @@
-"""Classical frequentist GWR: per-location weighted least squares,
+"""Classical frequentist GWR: weighted least squares at every location,
 SSE-grid bandwidth selection, and the effective number of parameters.
+
+Every location is fitted at once from the block statistics the sampler also
+uses (``bayes_gwr.block_stats``).  With K[s, l] the kernel weight between
+locations s and l, the normal equations at s read
+(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l; one einsum forms them
+for all s and one batched ``np.linalg.solve`` solves them.  A zero weight
+(kernel cutoff, unreachable pair, exp underflow) drops location l's rows from
+the system at s, exactly as a dropped row of the weighted design would.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .weighting import weight_matrix
+from .bayes_gwr import block_stats
+from .weighting import kernel_weight
+# unused here; kept as a module attribute for the benchmark's tracer bindings
+from .weighting import weight_matrix  # noqa: F401
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -21,7 +32,9 @@ class SingularSystemError(np.linalg.LinAlgError):
         super().__init__(msg)
 
 
-RCOND_MIN = 1e-12  # on X'WX, i.e. squared singular-value ratio of sqrt(W)X
+# on X'WX: smallest over largest eigenvalue, i.e. the squared singular-value
+# ratio of sqrt(W)X
+RCOND_MIN = 1e-12
 
 
 @dataclass
@@ -74,26 +87,62 @@ class FreqFit:
     effective_params: float
 
 
+def _solve(locations, M, rhs, n_pos, p):
+    """Solve M[s] x = rhs[s] for every s after one batched singularity test.
+
+    Location s is singular when fewer than p rows carry positive weight
+    (``n_pos[s] < p``) or when rcond(M[s]) < RCOND_MIN; the first singular
+    location in ``locations`` order is named in the SingularSystemError.
+    """
+    lam = np.linalg.eigvalsh(M)
+    rcond = lam[:, 0] / np.maximum(lam[:, -1], np.finfo(float).tiny)
+    short = n_pos < p
+    bad = short | (rcond < RCOND_MIN)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularSystemError(locations[k], None if short[k] else float(rcond[k]))
+    return np.linalg.solve(M, rhs)
+
+
+def _prepare(data, d):
+    """The bandwidth-free part of a fit: location order, each row's location
+    index, block statistics and the location-by-location distances."""
+    locs = data.unique_locations()
+    index = {s: k for k, s in enumerate(locs)}
+    own = np.array([index[s] for s in data.locations])
+    return locs, own, block_stats(data, locs), d.submatrix(locs)
+
+
+def _fit(data, scheme, prepared):
+    """Coefficients (L, p), SSE and hat-matrix trace under one scheme."""
+    locs, own, (G, h, _, counts), dsub = prepared
+    K = kernel_weight(scheme, dsub)
+    M = np.einsum("sl,lij->sij", K, G)
+    # the right-hand side X'W(s)y, then X_s'X_s for the trace
+    rhs = np.concatenate([(K @ h)[:, :, None], G], axis=2)
+    sol = _solve(locs, M, rhs, (K > 0) @ counts, data.p)
+    beta = sol[:, :, 0]
+    resid = data.y - np.einsum("ij,ij->i", data.X, beta[own])
+    # own-location rows have weight 1 (distance zero), so the hat-matrix
+    # diagonal over location s's rows sums to tr(M_s^-1 X_s'X_s)
+    trace = float(np.einsum("sii->", sol[:, :, 1:]))
+    return beta, float(resid @ resid), trace
+
+
 def wls_fit(data, w):
     """Exact weighted-least-squares minimizer at one location.
 
-    Solves min_beta ||sqrt(W)(y - X beta)||^2 by QR on the zero-weight-free
-    rows.  Raises SingularSystemError when X'WX is numerically singular
-    (reciprocal condition number below 1e-12).
+    Solves X'WX beta = X'Wy over the positive-weight rows, with the
+    singularity test of the all-locations fit: SingularSystemError when
+    fewer than p rows have positive weight or rcond(X'WX) < RCOND_MIN.
     """
     wt = np.asarray(w.weights, dtype=float)
     mask = wt > 0
-    sw = np.sqrt(wt[mask])
-    A = data.X[mask] * sw[:, None]
-    z = data.y[mask] * sw
-    if A.shape[0] < data.p:
-        raise SingularSystemError(w.location)
-    s = np.linalg.svd(A, compute_uv=False)
-    rcond = (s[-1] / s[0]) ** 2 if s[0] > 0 else 0.0
-    if rcond < RCOND_MIN:
-        raise SingularSystemError(w.location, rcond)
-    Q, R = np.linalg.qr(A)
-    return np.linalg.solve(R, Q.T @ z)
+    X = data.X[mask]
+    XtW = X.T * wt[mask]
+    sol = _solve((w.location,), (XtW @ X)[None], (XtW @ data.y[mask])[None, :, None],
+                 np.array([mask.sum()]), data.p)
+    return sol[0, :, 0]
 
 
 def fit_all_locations(data, scheme, d):
@@ -102,18 +151,10 @@ def fit_all_locations(data, scheme, d):
     SSE sums each observation's squared residual under its own location's
     coefficients.
     """
-    locs = data.unique_locations()
-    beta = np.empty((len(locs), data.p))
-    sse = 0.0
-    loc_arr = np.array(data.locations)
-    for k, s in enumerate(locs):
-        beta[k] = wls_fit(data, weight_matrix(scheme, d, s, data.locations))
-        own = loc_arr == s
-        resid = data.y[own] - data.X[own] @ beta[k]
-        sse += float(resid @ resid)
-    enp = effective_params_freq(data, scheme, d)
-    return FreqFit(locations=locs, beta_hat=beta, sse=sse, scheme=scheme,
-                   effective_params=enp)
+    prepared = _prepare(data, d)
+    beta, sse, trace = _fit(data, scheme, prepared)
+    return FreqFit(locations=prepared[0], beta_hat=beta, sse=sse, scheme=scheme,
+                   effective_params=trace)
 
 
 def effective_params_freq(data, scheme, d):
@@ -122,24 +163,7 @@ def effective_params_freq(data, scheme, d):
     Row i of the hat matrix is x_i' (X'W(l_i)X)^{-1} X'W(l_i) with l_i the
     location of observation i; only the diagonal is accumulated.
     """
-    trace = 0.0
-    loc_arr = np.array(data.locations)
-    for s in dict.fromkeys(data.locations):
-        w = weight_matrix(scheme, d, s, data.locations)
-        wt = w.weights
-        mask = wt > 0
-        A = data.X[mask] * np.sqrt(wt[mask])[:, None]
-        sv = np.linalg.svd(A, compute_uv=False)
-        rcond = (sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
-        if rcond < RCOND_MIN:
-            raise SingularSystemError(s, rcond)
-        M = A.T @ A
-        Minv = np.linalg.inv(M)
-        own = loc_arr == s
-        Xs = data.X[own]
-        # own-location observations have weight 1 (distance zero)
-        trace += float(np.einsum("ij,jk,ik->", Xs, Minv, Xs))
-    return trace
+    return _fit(data, scheme, _prepare(data, d))[2]
 
 
 def select_bandwidth_grid(data, kernel, d, grid):
@@ -154,11 +178,12 @@ def select_bandwidth_grid(data, kernel, d, grid):
         raise ValueError("empty bandwidth grid")
     if any(b <= 0 for b in grid):
         raise ValueError("bandwidths must be positive")
+    prepared = _prepare(data, d)
     table = []
     for b in grid:
         scheme = kernel.with_bandwidth(b) if hasattr(kernel, "with_bandwidth") else kernel
         try:
-            table.append((b, fit_all_locations(data, scheme, d).sse))
+            table.append((b, _fit(data, scheme, prepared)[1]))
         except SingularSystemError:
             table.append((b, float("nan")))
     finite = [(sse, b) for b, sse in table if np.isfinite(sse)]

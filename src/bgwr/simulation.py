@@ -180,7 +180,7 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
     results are identical regardless of worker count).  Failed replicates are
     recorded in the report's ``errors`` list, never silently dropped.
     """
-    locations = design_locations(design, d)
+    locations = tuple(d.labels)
     embedding = mds_embed(d) if design.pattern == "mds_linear" else None
     truth = true_beta(design, locations, embedding)
     L, p = truth.shape
@@ -268,11 +268,6 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
     report.errors = errors
     report.replicates_done = design.replicates - len(errors)
     return report
-
-
-def design_locations(design, d):
-    """Locations a study runs on: every label of the distance matrix."""
-    return tuple(d.labels)
 
 
 def _kernel_scheme(kernel):

@@ -34,9 +34,6 @@ class SpatialGraph:
     def n(self):
         return len(self.vertices)
 
-    def neighbors(self, v):
-        return sorted(u for e in self.edges for u in e if v in e and u != v)
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:

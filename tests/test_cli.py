@@ -243,3 +243,43 @@ class TestCliCommands:
         np.testing.assert_array_equal(back.gamma, post.gamma)
         np.testing.assert_array_equal(back.b, post.b)
         assert back.locations == post.locations
+
+    def test_assess_rejects_truncated_chains(self, tmp_path, china, capsys):
+        data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data_path), "--out", str(out),
+                     "--kernel", "exponential", "--chain", "150",
+                     "--burnin", "100", "--seed", "3", "--dump-chains"]) == 0
+        chains = out / "chains.csv"
+        lines = chains.read_text().splitlines(keepends=True)
+        chains.write_text("".join(lines[:-1]))
+        aout = tmp_path / "assess"
+        assert main(["assess", "--data", str(data_path), "--chains", str(chains),
+                     "--kernel", "exponential", "--out", str(aout)]) == 1
+        assert "incomplete chain dump" in capsys.readouterr().err
+        assert not aout.exists() or not os.listdir(aout)
+
+    @pytest.mark.parametrize("edit", ["duplicate_row", "gamma_differs", "b_differs",
+                                      "short_row"])
+    def test_read_chains_rejects_inconsistent_dump(self, tmp_path, china, china_d, edit):
+        data = dataio.parse_dataset(synthetic_dataset_file(tmp_path / "d.csv", china))
+        post = run_sampler(data, china_d, "exponential",
+                           BayesConfig(chain_length=60, burn_in=50, seed=9))
+        path = tmp_path / "chains.csv"
+        dataio.write_chains(path, post)
+        lines = path.read_text().splitlines()
+        p = post.beta.shape[2]
+        cells = lines[5].split(",")
+        if edit == "duplicate_row":
+            lines[6] = lines[5]
+        elif edit == "gamma_differs":
+            cells[4 + p] = str(1 - int(cells[4 + p]))
+            lines[5] = ",".join(cells)
+        elif edit == "b_differs":
+            cells[2] = repr(float(cells[2]) + 1.0)
+            lines[5] = ",".join(cells)
+        else:
+            lines[5] = ",".join(cells[:-1])
+        write_lines(path, lines)
+        with pytest.raises(ValueError):
+            dataio.read_chains(path, "exponential", china_d)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bgwr.freq_gwr import (Dataset, SingularSystemError, default_bandwidth_grid,
-                           effective_params_freq, fit_all_locations,
-                           select_bandwidth_grid, wls_fit)
-from bgwr.spatial_graph import DistanceMatrix
-from bgwr.weighting import WeightMatrix, WeightScheme
+from bgwr.freq_gwr import (RCOND_MIN, Dataset, SingularSystemError,
+                           default_bandwidth_grid, effective_params_freq,
+                           fit_all_locations, select_bandwidth_grid, wls_fit)
+from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from bgwr.weighting import WeightMatrix, WeightScheme, kernel_weight, weight_matrix
 
 
 def two_location_distance():
@@ -216,3 +216,153 @@ class TestEffectiveParams:
         enp = effective_params_freq(data, WeightScheme("exponential", 2.0),
                                     two_location_distance())
         assert 2.0 < enp < 4.0
+
+
+# ---- the batched fit against a per-location oracle --------------------------
+
+def path_with_island():
+    """Path a-b-c-d plus an isolated e: distances 0..3 and unreachable pairs."""
+    return graph_distances(build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d")]))
+
+
+def per_location_oracle(data, scheme, d):
+    """One normal-equations solve per location from its weight_matrix rows.
+
+    Returns (beta, sse, trace of the hat matrix); raises SingularSystemError
+    at the first location, in unique_locations() order, with fewer than p
+    positive-weight rows or rcond below RCOND_MIN judged by an SVD of
+    sqrt(W)X.
+    """
+    locs = data.unique_locations()
+    loc_arr = np.array(data.locations)
+    beta = np.empty((len(locs), data.p))
+    sse = trace = 0.0
+    for k, s in enumerate(locs):
+        wt = weight_matrix(scheme, d, s, data.locations).weights
+        pos = wt > 0
+        if pos.sum() < data.p:
+            raise SingularSystemError(s)
+        sv = np.linalg.svd(data.X[pos] * np.sqrt(wt[pos])[:, None], compute_uv=False)
+        if (sv[-1] / sv[0]) ** 2 < RCOND_MIN:
+            raise SingularSystemError(s)
+        XtW = data.X.T * wt
+        M = XtW @ data.X
+        beta[k] = np.linalg.solve(M, XtW @ data.y)
+        own = loc_arr == s
+        resid = data.y[own] - data.X[own] @ beta[k]
+        sse += resid @ resid
+        # hat-matrix diagonal at own row i: w_i x_i' M^-1 x_i
+        Xo = data.X[own]
+        trace += np.sum(wt[own] * np.einsum("ij,ji->i", Xo, np.linalg.solve(M, Xo.T)))
+    return beta, sse, trace
+
+
+# (scheme, whether some finite distance gets weight 0 through exp underflow,
+# d/b > 745, rather than through a cutoff)
+ORACLE_SCHEMES = [
+    (WeightScheme("unity"), False),
+    (WeightScheme("step", 1.0), False),
+    (WeightScheme("exponential", 2.0), False),
+    (WeightScheme("exponential", 0.002), True),
+    (WeightScheme("gaussian", 0.05), True),
+    (WeightScheme("bisquare", 2.5), False),
+    (WeightScheme("graph_exp", 0.002), True),
+]
+
+
+@pytest.mark.parametrize("scheme,underflows", ORACLE_SCHEMES,
+                         ids=[f"{s.kernel}-{s.bandwidth}" for s, _ in ORACLE_SCHEMES])
+def test_batched_fit_matches_per_location_oracle(scheme, underflows):
+    rng = np.random.default_rng(20)
+    d = path_with_island()
+    data = random_dataset(rng, n=25, p=3, locations="abcde")
+    K = kernel_weight(scheme, d.values)
+    assert (K[np.isinf(d.values)] == 0).all()
+    if underflows:
+        assert ((K == 0) & np.isfinite(d.values)).any()
+    beta, sse, trace = per_location_oracle(data, scheme, d)
+    fit = fit_all_locations(data, scheme, d)
+    assert fit.locations == data.unique_locations()
+    np.testing.assert_allclose(fit.beta_hat, beta, rtol=0, atol=1e-10)
+    assert abs(fit.sse - sse) < 1e-10
+    assert abs(fit.effective_params - trace) < 1e-10
+    assert abs(effective_params_freq(data, scheme, d) - trace) < 1e-10
+
+
+def names_singular(fn, *args):
+    with pytest.raises(SingularSystemError) as err:
+        fn(*args)
+    return err.value.location
+
+
+@pytest.mark.parametrize("scheme", [WeightScheme("step", 0.5),
+                                    WeightScheme("exponential", 0.001)],
+                         ids=["step", "exponential-underflow"])
+def test_singular_location_named_as_by_oracle(scheme):
+    # rows cycle through c, b, e, d, a, so unique_locations() is (c, b, e, d, a);
+    # under these kernels each location sees only its own rows
+    rng = np.random.default_rng(21)
+    d = path_with_island()
+    locs = tuple("cbeda"[i % 5] for i in range(20))
+    X = rng.normal(size=(20, 2))
+    loc_arr = np.array(locs)
+    X[loc_arr == "a", 1] = 2.0 * X[loc_arr == "a", 0]   # rank one at a
+    X[loc_arr == "d", 1] = -X[loc_arr == "d", 0]        # rank one at d
+    data = Dataset(y=rng.normal(size=20), X=X, locations=locs)
+    assert names_singular(per_location_oracle, data, scheme, d) == "d"
+    assert names_singular(fit_all_locations, data, scheme, d) == "d"
+    assert names_singular(effective_params_freq, data, scheme, d) == "d"
+    # a wide bandwidth lets a and d borrow their neighbours' rows
+    best, table = select_bandwidth_grid(data, scheme, d, [scheme.bandwidth, 5.0])
+    assert np.isnan(table[0][1]) and np.isfinite(table[1][1]) and best == 5.0
+
+
+def test_too_few_positive_weight_rows_named():
+    # b has two rows, fewer than p = 3, and step(0.5) isolates every location
+    rng = np.random.default_rng(22)
+    d = path_with_island()
+    locs = ("a",) * 4 + ("b",) * 2 + ("c",) * 4
+    data = Dataset(y=rng.normal(size=10), X=rng.normal(size=(10, 3)), locations=locs)
+    with pytest.raises(SingularSystemError) as err:
+        fit_all_locations(data, WeightScheme("step", 0.5), d)
+    assert err.value.location == "b" and err.value.rcond is None
+    # under step(1.5) b borrows a's and c's rows and is no longer short
+    fit_all_locations(data, WeightScheme("step", 1.5), d)
+
+
+def conditioned_design(rng, n, p, rcond):
+    """Weights w and X with rcond(X'WX) = rcond: sqrt(W)X = U diag(s) V'."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, p)))
+    V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    s = np.ones(p)
+    s[-1] = np.sqrt(rcond)
+    w = rng.uniform(0.2, 1.0, size=n)
+    return w, (U * s) @ V.T / np.sqrt(w)[:, None]
+
+
+@pytest.mark.parametrize("rcond,singular", [(1e-13, True), (1e-11, False)])
+def test_singularity_rule_near_threshold(rcond, singular):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w, X = conditioned_design(rng, 12, 3, rcond)
+        sv = np.linalg.svd(X * np.sqrt(w)[:, None], compute_uv=False)
+        assert ((sv[-1] / sv[0]) ** 2 < RCOND_MIN) == singular
+        data = Dataset(y=rng.normal(size=12), X=X, locations=("a",) * 12)
+        # the same system with sqrt(W) folded into X, for the all-locations
+        # fit at one location under unity weights
+        folded = Dataset(y=data.y * np.sqrt(w), X=X * np.sqrt(w)[:, None],
+                         locations=data.locations)
+        unit = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        if singular:
+            with pytest.raises(SingularSystemError):
+                wls_fit(data, WeightMatrix("a", w))
+            with pytest.raises(SingularSystemError):
+                fit_all_locations(folded, WeightScheme("unity"), unit)
+        else:
+            beta = wls_fit(data, WeightMatrix("a", w))
+            ref, *_ = np.linalg.lstsq(X * np.sqrt(w)[:, None], data.y * np.sqrt(w),
+                                      rcond=None)
+            # normal equations lose up to cond(X'WX) * eps = 2e-5 relative
+            assert np.max(np.abs(beta - ref)) <= 1e-3 * np.max(np.abs(ref))
+            fit = fit_all_locations(folded, WeightScheme("unity"), unit)
+            assert np.max(np.abs(fit.beta_hat[0] - ref)) <= 1e-3 * np.max(np.abs(ref))
