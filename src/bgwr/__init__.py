@@ -9,9 +9,8 @@ from .weighting import WeightMatrix, WeightScheme, kernel_weight, weight_matrix
 from .freq_gwr import (Dataset, FreqFit, SingularSystemError, effective_params_freq,
                        fit_all_locations, select_bandwidth_grid, wls_fit)
 from .bayes_gwr import (BayesConfig, GwrPosterior, PosteriorSummary, hpd_interval,
-                        log_likelihood_location, posterior_summary, run_sampler,
-                        selected_model)
-from .assessment import ModelAssessment, assess, cpo_lpml, deviance, dic
+                        posterior_summary, run_sampler, selected_model)
+from .assessment import ModelAssessment, assess, cpo_lpml, dic
 from .simulation import (BASE_BETAS, REGIONAL_BETAS, SimulationDesign,
                          SimulationReport, generate_dataset, metrics, run_study,
                          true_beta)

@@ -6,7 +6,7 @@ log f(y_i | theta) = log N(y_i | x_i' beta(l_i), sigma2(l_i)).
 The DIC deviance is D(theta) = -2 sum_i log f(y_i | theta), so its scale does
 not depend on the kernel or the bandwidth and DICs of different kernels are
 comparable.  The kernel-weighted pseudo-likelihood that the sampler targets
-(``deviance``) is not a likelihood of the data, and is not used for the DIC.
+is not a likelihood of the data, and is not used for the DIC.
 
 All density accumulation runs in the log domain; the harmonic-mean CPO
 estimator uses log-sum-exp so small per-draw densities cannot underflow.
@@ -28,33 +28,6 @@ class ModelAssessment:
     deviance_at_mean: float = None
     lpml: float = None
     cpo: np.ndarray = None
-
-
-def deviance(data, beta, sigma2, weights):
-    """-2 log pseudo-likelihood that the sampler targets, summed over locations.
-
-    Each location's term is the weighted Gaussian log-likelihood over its
-    positive-weight observations, with the positive-weight count n' in the
-    log-variance term.  This is not the DIC deviance (see ``dic``).
-
-    ``beta`` is (L, p), ``sigma2`` (L,), and ``weights`` (L, n): one row of
-    per-observation weights per location.
-    """
-    beta = np.asarray(beta, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(sigma2 <= 0):
-        raise ValueError("sigma2 must be positive")
-    total = 0.0
-    for k in range(beta.shape[0]):
-        w = weights[k]
-        mask = w > 0
-        n_pos = int(mask.sum())
-        resid = data.y[mask] - data.X[mask] @ beta[k]
-        quad = float(resid @ (w[mask] * resid))
-        total += (n_pos * math.log(2 * math.pi) + n_pos * math.log(sigma2[k])
-                  - float(np.log(w[mask]).sum()) + quad / sigma2[k])
-    return total
 
 
 def _obs_deviance(beta, sigma2, G, h, q, counts):

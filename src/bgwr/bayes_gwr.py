@@ -89,8 +89,6 @@ class GwrPosterior:
     kernel: str
     dsub: np.ndarray      # (L, L) distances between data locations
     config: BayesConfig
-    b_full: np.ndarray = None       # bandwidth trace including burn-in
-    proposal_scale: float = None    # frozen MH scale after adaptation
 
     @property
     def n_draws(self):
@@ -132,25 +130,11 @@ def block_stats(data, locations):
     return G, h, q, counts
 
 
-def location_log_kernel(kernel, dsub, b):
-    """Log weights with structural zeros as -inf (underflow-safe)."""
-    return log_kernel_weight(WeightScheme(kernel, b if kernel != "unity" else None), dsub)
-
-
-def log_likelihood_location(data, s, beta_s, sigma2_s, w):
-    """Weighted Gaussian log-likelihood at one location.
-
-    Zero-weight rows are excluded; n' counts the positive-weight rows.
-    """
-    if sigma2_s <= 0:
-        raise ValueError("sigma2 must be positive")
-    wt = np.asarray(w.weights, dtype=float)
-    mask = wt > 0
-    n_pos = int(mask.sum())
-    resid = data.y[mask] - data.X[mask] @ np.asarray(beta_s, dtype=float)
-    quad = float(resid @ (wt[mask] * resid))
-    return -0.5 * (n_pos * math.log(2 * math.pi) + n_pos * math.log(sigma2_s)
-                   - float(np.log(wt[mask]).sum()) + quad / sigma2_s)
+def weighted_blocks(K, G, h):
+    """X'W(s)X = sum_l K[s, l] G_l and X'W(s)y = sum_l K[s, l] h_l at every
+    location s, from (L, L) weights K and the Gram blocks and cross products
+    of ``block_stats``; the sampler and the frequentist fit share it."""
+    return np.einsum("sl,lij->sij", K, G), K @ h
 
 
 def _kernel_state(kernel, dsub, b, counts, G, h):
@@ -160,13 +144,12 @@ def _kernel_state(kernel, dsub, b, counts, G, h):
     (but structurally positive) weights keep their observations in the
     likelihood with the exact log-weight penalty.
     """
-    logK = location_log_kernel(kernel, dsub, b)
+    logK = log_kernel_weight(WeightScheme(kernel, b), dsub)
     K = np.exp(logK)
     pos = np.isfinite(logK)
     npos = pos @ counts
     sumlogw = np.where(pos, logK, 0.0) @ counts
-    M = np.einsum("sl,lij->sij", K, G)
-    V = K @ h
+    M, V = weighted_blocks(K, G, h)
     return {"b": b, "K": K, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V}
 
 
@@ -233,7 +216,6 @@ def run_sampler(data, d, kernel, cfg):
     sigma2_out = np.empty((n_keep, L))
     gamma_out = np.empty((n_keep, p), dtype=int)
     b_out = np.empty(n_keep)
-    b_full = np.empty(cfg.chain_length)
     accepted_post = 0
 
     for t in range(cfg.chain_length):
@@ -316,7 +298,6 @@ def run_sampler(data, d, kernel, cfg):
                     prop_scale = max(prop_scale / MH_ADAPT_FACTOR, 1e-6 * D)
                 adapt_accepts = 0
 
-        b_full[t] = state["b"]
         if t >= cfg.burn_in:
             k = t - cfg.burn_in
             beta_out[k] = beta
@@ -327,31 +308,26 @@ def run_sampler(data, d, kernel, cfg):
     acc = accepted_post / n_keep if cfg.fix_bandwidth is None else 0.0
     return GwrPosterior(locations=locs, beta=beta_out, sigma2=sigma2_out,
                         gamma=gamma_out, b=b_out, acceptance_rate_b=acc,
-                        kernel=kernel, dsub=dsub, config=cfg,
-                        b_full=b_full, proposal_scale=prop_scale)
+                        kernel=kernel, dsub=dsub, config=cfg)
 
 
 def hpd_interval(samples, mass=0.95):
-    """Shortest contiguous window of sorted samples holding ceil(mass*T)."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    T = x.size
+    """Shortest contiguous window of sorted samples holding ceil(mass*T).
+
+    Works along axis 0 of a (T, ...) array and returns (lower, upper) arrays
+    of the trailing shape; for 1-D input they are floats.
+    """
+    x = np.sort(np.asarray(samples, dtype=float), axis=0)
+    T = x.shape[0]
     if T == 0:
         raise ValueError("empty sample")
-    m = int(math.ceil(mass * T))
-    widths = x[m - 1:] - x[:T - m + 1]
-    i = int(np.argmin(widths))
-    return float(x[i]), float(x[i + m - 1])
-
-
-def _hpd_chains(chains, mass=0.95):
-    """Vectorized HPD along axis 0 of a (T, ...) array."""
-    x = np.sort(chains, axis=0)
-    T = x.shape[0]
     m = int(math.ceil(mass * T))
     widths = x[m - 1:] - x[:T - m + 1]
     i = np.argmin(widths, axis=0)
     lower = np.take_along_axis(x, i[None], axis=0)[0]
     upper = np.take_along_axis(x, (i + m - 1)[None], axis=0)[0]
+    if x.ndim == 1:
+        return float(lower), float(upper)
     return lower, upper
 
 
@@ -359,7 +335,7 @@ def posterior_summary(post, mass=0.95):
     """Posterior means, HPD intervals, inclusion frequencies, selected set."""
     if post.n_draws == 0:
         raise ValueError("empty chain")
-    lower, upper = _hpd_chains(post.beta, mass)
+    lower, upper = hpd_interval(post.beta, mass)
     freq = post.gamma.mean(axis=0)
     return PosteriorSummary(
         locations=post.locations,

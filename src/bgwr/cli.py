@@ -27,7 +27,6 @@ DEFAULTS = {
     "chain": 4000,
     "burnin": 1000,
     "seed": 0,
-    "threads": None,
     "method": "bayes",
     "standardize": False,
     "log_response": False,
@@ -61,7 +60,7 @@ def _resolve(args, config):
     """defaults < config file < explicit CLI flags."""
     resolved = dict(DEFAULTS)
     casts = {"prior_D": float, "bandwidth": float, "chain": int, "burnin": int,
-             "seed": int, "threads": int, "tau2": float, "c2": float,
+             "seed": int, "tau2": float, "c2": float,
              "alpha1": float, "alpha2": float,
              "standardize": lambda v: v.lower() in ("1", "true", "yes"),
              "log_response": lambda v: v.lower() in ("1", "true", "yes")}
@@ -123,17 +122,13 @@ def cmd_fit(args, rc):
     out = _OutputTracker(args.out)
     try:
         if rc["method"] == "freq":
-            scheme_proto = WeightScheme(rc["kernel"],
-                                        1.0 if rc["kernel"] != "unity" else None)
             if rc["bandwidth"] is not None:
                 b_star = rc["bandwidth"]
                 table = []
             else:
                 grid = default_bandwidth_grid(d)
-                b_star, table = select_bandwidth_grid(data, scheme_proto, d, grid)
-            scheme = (scheme_proto.with_bandwidth(b_star)
-                      if rc["kernel"] != "unity" else scheme_proto)
-            fit = fit_all_locations(data, scheme, d)
+                b_star, table = select_bandwidth_grid(data, rc["kernel"], d, grid)
+            fit = fit_all_locations(data, WeightScheme(rc["kernel"], b_star), d)
             dataio.write_coefficients(out.path("coefficients.csv"), fit)
             if table:
                 dataio.write_sse_table(out.path("sse_grid.csv"), table)
@@ -175,8 +170,7 @@ def cmd_simulate(args, rc):
     out = _OutputTracker(args.out)
     try:
         report = run_study(design, d, rc["kernel"], cfg, methods=methods,
-                           with_assessment=args.with_assessment,
-                           workers=rc["threads"] or 1)
+                           with_assessment=args.with_assessment)
         dataio.write_report(out.path("report.csv"), report)
         _manifest(out, rc, {"command": "simulate", "design": args.design,
                             "setting": setting, "replicates": args.replicates,
@@ -228,7 +222,6 @@ def build_parser():
         sp.add_argument("--chain", type=int)
         sp.add_argument("--burnin", type=int)
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--out", required=True)
         sp.add_argument("--standardize", action="store_true", default=None)
         sp.add_argument("--log-response", dest="log_response",
@@ -269,8 +262,6 @@ def main(argv=None):
     try:
         config = dataio.load_config(args.config) if getattr(args, "config", None) else {}
         rc = _resolve(args, config)
-        if rc["threads"] is not None and rc["threads"] < 1:
-            raise ValueError("--threads must be at least 1")
         return args.func(args, rc)
     except Exception as exc:
         print(f"bgwr: error: {exc}", file=sys.stderr)

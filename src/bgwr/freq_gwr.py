@@ -4,18 +4,19 @@ SSE-grid bandwidth selection, and the effective number of parameters.
 Every location is fitted at once from the block statistics the sampler also
 uses (``bayes_gwr.block_stats``).  With K[s, l] the kernel weight between
 locations s and l, the normal equations at s read
-(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l; one einsum forms them
-for all s and one batched ``np.linalg.solve`` solves them.  A zero weight
-(kernel cutoff, unreachable pair, exp underflow) drops location l's rows from
-the system at s, exactly as a dropped row of the weighted design would.
+(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l; the sampler's
+``bayes_gwr.weighted_blocks`` forms them for all s and one batched
+``np.linalg.solve`` solves them.  A zero weight (kernel cutoff, unreachable
+pair, exp underflow) drops location l's rows from the system at s, exactly as
+a dropped row of the weighted design would.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_gwr import block_stats
-from .weighting import kernel_weight
+from .bayes_gwr import block_stats, weighted_blocks
+from .weighting import WeightScheme, kernel_weight
 # unused here; kept as a module attribute for the benchmark's tracer bindings
 from .weighting import weight_matrix  # noqa: F401
 
@@ -117,9 +118,9 @@ def _fit(data, scheme, prepared):
     """Coefficients (L, p), SSE and hat-matrix trace under one scheme."""
     locs, own, (G, h, _, counts), dsub = prepared
     K = kernel_weight(scheme, dsub)
-    M = np.einsum("sl,lij->sij", K, G)
+    M, V = weighted_blocks(K, G, h)
     # the right-hand side X'W(s)y, then X_s'X_s for the trace
-    rhs = np.concatenate([(K @ h)[:, :, None], G], axis=2)
+    rhs = np.concatenate([V[:, :, None], G], axis=2)
     sol = _solve(locs, M, rhs, (K > 0) @ counts, data.p)
     beta = sol[:, :, 0]
     resid = data.y - np.einsum("ij,ij->i", data.X, beta[own])
@@ -169,21 +170,23 @@ def effective_params_freq(data, scheme, d):
 def select_bandwidth_grid(data, kernel, d, grid):
     """Pick the bandwidth minimizing total SSE over a grid.
 
-    Returns (best bandwidth, list of (bandwidth, sse) rows).  Grid points
-    where some location is singular get SSE NaN; ties break toward the
-    smaller bandwidth.
+    ``kernel`` is a kernel name or a WeightScheme, whose bandwidth is
+    ignored.  Returns (best bandwidth, list of (bandwidth, sse) rows).  Grid
+    points where some location is singular get SSE NaN; ties break toward
+    the smaller bandwidth.
     """
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty bandwidth grid")
     if any(b <= 0 for b in grid):
         raise ValueError("bandwidths must be positive")
+    if isinstance(kernel, WeightScheme):
+        kernel = kernel.kernel
     prepared = _prepare(data, d)
     table = []
     for b in grid:
-        scheme = kernel.with_bandwidth(b) if hasattr(kernel, "with_bandwidth") else kernel
         try:
-            table.append((b, _fit(data, scheme, prepared)[1]))
+            table.append((b, _fit(data, WeightScheme(kernel, b), prepared)[1]))
         except SingularSystemError:
             table.append((b, float("nan")))
     finite = [(sse, b) for b, sse in table if np.isfinite(sse)]

@@ -21,6 +21,7 @@ import numpy as np
 from .bayes_gwr import posterior_summary, run_sampler
 from .freq_gwr import Dataset, fit_all_locations, select_bandwidth_grid, default_bandwidth_grid
 from .spatial_graph import mds_embed
+from .weighting import WeightScheme
 from . import assessment
 
 BASE_BETAS = {
@@ -171,15 +172,17 @@ def replicate_seed(master_seed, replicate, stream):
 
 
 def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
-              freq_grid=None, workers=1):
+              freq_grid=None):
     """Generate -> fit -> summarize -> score over all replicates.
 
+    ``kernel`` is a kernel name or a WeightScheme, whose bandwidth is ignored.
     Replicate r draws its data from substream (seed, r, 0) and its chain from
-    (seed, r, 1), so the study is deterministic given the master seed and
-    replicates parallelize (``workers`` > 1 runs them in a thread pool;
-    results are identical regardless of worker count).  Failed replicates are
-    recorded in the report's ``errors`` list, never silently dropped.
+    (seed, r, 1), so the study is deterministic given the master seed.
+    Failed replicates are recorded in the report's ``errors`` list, never
+    silently dropped.
     """
+    if isinstance(kernel, WeightScheme):
+        kernel = kernel.kernel
     locations = tuple(d.labels)
     embedding = mds_embed(d) if design.pattern == "mds_linear" else None
     truth = true_beta(design, locations, embedding)
@@ -203,20 +206,14 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
                     out["assessment"] = (a.p_d, a.dic, a.lpml)
             if "freq" in methods:
                 grid = freq_grid if freq_grid is not None else default_bandwidth_grid(d)
-                scheme_proto = _kernel_scheme(kernel)
-                b_star, _ = select_bandwidth_grid(data, scheme_proto, d, grid)
-                fit = fit_all_locations(data, scheme_proto.with_bandwidth(b_star), d)
+                b_star, _ = select_bandwidth_grid(data, kernel, d, grid)
+                fit = fit_all_locations(data, WeightScheme(kernel, b_star), d)
                 out["freq"] = (fit.beta_hat, fit.effective_params)
         except Exception as exc:  # surfaced per replicate in the report
             out["error"] = f"{type(exc).__name__}: {exc}"
         return out
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_replicate, range(design.replicates)))
-    else:
-        results = [one_replicate(r) for r in range(design.replicates)]
+    results = [one_replicate(r) for r in range(design.replicates)]
 
     estimates, lowers, uppers, selected, b_means = [], [], [], [], []
     p_ds, dics, lpmls = [], [], []
@@ -268,11 +265,3 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
     report.errors = errors
     report.replicates_done = design.replicates - len(errors)
     return report
-
-
-def _kernel_scheme(kernel):
-    from .weighting import WeightScheme
-    if isinstance(kernel, WeightScheme):
-        return kernel
-    # placeholder bandwidth; replaced per grid point
-    return WeightScheme(kernel, 1.0 if kernel != "unity" else None)

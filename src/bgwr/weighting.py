@@ -39,9 +39,6 @@ class WeightScheme:
             elif self.bandwidth <= 0:
                 raise ValueError("bandwidth must be positive")
 
-    def with_bandwidth(self, b):
-        return WeightScheme(self.kernel, b)
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -51,36 +48,9 @@ class WeightMatrix:
     weights: np.ndarray
 
 
-def kernel_weight(scheme, distance):
-    """Evaluate the kernel at one or many distances.
-
-    Accepts scalars or arrays; unreachable (infinite) distances give 0.
-    """
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("negative distance")
-    b = scheme.bandwidth
-    k = scheme.kernel
-    if k == "unity":
-        w = np.where(np.isinf(d), 0.0, 1.0)
-    elif k == "step":
-        w = np.where(d <= b, 1.0, 0.0)
-    elif k == "exponential":
-        w = np.exp(-d / b)
-    elif k == "gaussian":
-        w = np.exp(-((d / b) ** 2))
-    elif k == "bisquare":
-        w = np.where(d < b, (1.0 - np.minimum(d / b, 1.0) ** 2) ** 2, 0.0)
-    else:  # graph_exp
-        w = np.where(d <= 1.0, 1.0, np.exp(-d / b))
-    w = np.where(np.isinf(d), 0.0, w)
-    if np.ndim(distance) == 0:
-        return float(w)
-    return w
-
-
 def log_kernel_weight(scheme, distance):
-    """Log of kernel_weight, computed analytically.
+    """Log kernel weight at one or many distances; the one place each kernel
+    formula is written (``kernel_weight`` is its exp).
 
     exp(-d/b) underflows to exactly 0 for d/b beyond ~745, which would make a
     structurally positive weight look like a dropped observation; likelihood
@@ -110,6 +80,17 @@ def log_kernel_weight(scheme, distance):
     if np.ndim(distance) == 0:
         return float(lw)
     return lw
+
+
+def kernel_weight(scheme, distance):
+    """Evaluate the kernel at one or many distances: exp of ``log_kernel_weight``.
+
+    Accepts scalars or arrays; unreachable (infinite) distances give 0.
+    """
+    w = np.exp(log_kernel_weight(scheme, distance))
+    if np.ndim(distance) == 0:
+        return float(w)
+    return w
 
 
 def weight_matrix(scheme, d, target, obs_locations):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from bgwr.bayes_gwr import _kernel_state, _quad_matrix, _total_loglik, block_stats
 from bgwr.dataio import china_graph
 from bgwr.spatial_graph import build_graph, graph_distances
 
@@ -57,3 +60,35 @@ def floyd_warshall(g):
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
     return dist
+
+
+def sampler_loglik(data, d, kernel, b, beta, sigma2):
+    """The log pseudo-likelihood run_sampler targets at (beta, sigma2, b),
+    computed as the sampler does, from block statistics: the sum over
+    locations s of log MVN(y; X beta_s, sigma2_s W(s|b)^-1) over the rows
+    with positive weight.  ``beta`` is (L, p), ``sigma2`` (L,), both in
+    ``data.unique_locations()`` order."""
+    locs = data.unique_locations()
+    G, h, q, counts = block_stats(data, locs)
+    state = _kernel_state(kernel, d.submatrix(locs), b, counts, G, h)
+    A = _quad_matrix(np.asarray(beta, dtype=float), G, h, q)
+    return _total_loglik(state, A, np.asarray(sigma2, dtype=float))
+
+
+def loglik_oracle(data, log_w, beta, sigma2):
+    """Row-by-row oracle for sampler_loglik from log weights.
+
+    ``log_w`` is (L, n): the log weight of every row at every location, -inf
+    for a dropped row.  Each kept row adds log N(y_i | x_i' beta_s,
+    sigma2_s / w_si), written with log w so that an underflowed weight keeps
+    its log-weight penalty.
+    """
+    total = 0.0
+    for s in range(len(beta)):
+        for i in range(data.n):
+            lw = log_w[s, i]
+            if np.isfinite(lw):
+                r = data.y[i] - data.X[i] @ beta[s]
+                total += -0.5 * (math.log(2 * math.pi * sigma2[s]) - lw
+                                 + math.exp(lw) * r * r / sigma2[s])
+    return total

@@ -60,7 +60,7 @@ def setting1_study(china_d):
                               replicates=20, seed=MASTER_SEED)
     t0 = time.time()
     rep = run_study(design, china_d, "exponential", STUDY_CFG,
-                    with_assessment=True, workers=4)
+                    with_assessment=True)
     rep.wall_time = time.time() - t0
     return rep
 
@@ -199,7 +199,7 @@ def test_criterion_7_regional_design(china_d):
                               region_betas=REGIONAL_BETAS[1],
                               replicates=10, seed=MASTER_SEED)
     t0 = time.time()
-    rep = run_study(design, china_d, "exponential", STUDY_CFG, workers=4)
+    rep = run_study(design, china_d, "exponential", STUDY_CFG)
     elapsed = time.time() - t0
     hard_ok = rep.mab[4] > rep.mab[1]
     ok = rep.model_acc == 1.0 and hard_ok and elapsed < 600 and not rep.errors
@@ -215,7 +215,7 @@ def test_criterion_7_regional_design(china_d):
 def test_criterion_8_mds_linear_design(china_d, setting1_study):
     design = SimulationDesign(pattern="mds_linear", base_beta=BASE_BETAS[1],
                               replicates=10, seed=MASTER_SEED)
-    rep = run_study(design, china_d, "exponential", STUDY_CFG, workers=4)
+    rep = run_study(design, china_d, "exponential", STUDY_CFG)
     in_model = np.array(BASE_BETAS[1]) != 0
     drop_ok = bool(np.all(rep.mcr[in_model] < setting1_study.mcr[in_model]))
     ok = rep.model_acc == 1.0 and drop_ok and not rep.errors

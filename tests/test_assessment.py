@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
-from bgwr.assessment import assess, cpo_lpml, deviance, dic
-from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, log_likelihood_location,
-                            run_sampler)
+from bgwr.assessment import assess, cpo_lpml, dic
+from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
 from bgwr.freq_gwr import Dataset
 from bgwr.spatial_graph import DistanceMatrix
-from bgwr.weighting import WeightMatrix, WeightScheme, kernel_weight
+from conftest import loglik_oracle, sampler_loglik
 
 
 def two_location_setup(rng, n_per=6, p=2):
@@ -35,14 +34,11 @@ def constant_posterior(data, d, kernel, b, beta, sigma2, T=5):
                         config=BayesConfig())
 
 
-def weights_grid(data, d, kernel, b):
-    """(L, n) kernel weights of every observation at every location."""
-    locs = data.unique_locations()
-    scheme = WeightScheme(kernel, b if kernel != "unity" else None)
-    rows = []
-    for s in locs:
-        rows.append([kernel_weight(scheme, d.get(s, o)) for o in data.locations])
-    return np.array(rows)
+def log_weights(data, d, log_kernel):
+    """(L, n) log weight of every observation at every location, from a log
+    kernel written out in the test."""
+    return np.array([[log_kernel(d.get(s, o)) for o in data.locations]
+                     for s in data.unique_locations()])
 
 
 def obs_deviance_oracle(data, locations, beta, sigma2):
@@ -53,33 +49,34 @@ def obs_deviance_oracle(data, locations, beta, sigma2):
 
 
 class TestDeviance:
+    """-2 x the log pseudo-likelihood the sampler targets, as it computes it
+    from block statistics; dic() scores the per-observation density instead."""
+
     def test_zero_residual_unity_value(self):
         X = np.ones((4, 1))
         data = Dataset(y=X[:, 0] * 2.0, X=X, locations=("a",) * 4)
-        dev = deviance(data, np.array([[2.0]]), np.array([1.0]),
-                       np.ones((1, 4)))
+        d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        dev = -2.0 * sampler_loglik(data, d, "unity", None, np.array([[2.0]]),
+                                    np.array([1.0]))
         assert abs(dev - 4 * math.log(2 * math.pi)) < 1e-12
 
     def test_equals_minus_two_loglik(self):
         rng = np.random.default_rng(0)
         data, d = two_location_setup(rng)
-        w = weights_grid(data, d, "exponential", 2.0)
         beta = rng.normal(size=(2, 2))
         sigma2 = np.array([0.8, 1.3])
-        dev = deviance(data, beta, sigma2, w)
-        ref = -2.0 * sum(
-            log_likelihood_location(data, s, beta[k], sigma2[k],
-                                    WeightMatrix(s, w[k]))
-            for k, s in enumerate(data.unique_locations()))
+        dev = -2.0 * sampler_loglik(data, d, "exponential", 2.0, beta, sigma2)
+        ref = -2.0 * loglik_oracle(data, log_weights(data, d, lambda r: -r / 2.0),
+                                   beta, sigma2)
         assert abs(dev - ref) < 1e-9
 
     def test_matches_dense_mvn_oracle(self):
         rng = np.random.default_rng(1)
         data, d = two_location_setup(rng, n_per=4)
-        w = weights_grid(data, d, "gaussian", 1.5)
+        w = np.exp(log_weights(data, d, lambda r: -(r / 1.5) ** 2))
         beta = rng.normal(size=(2, 2))
         sigma2 = np.array([1.1, 0.6])
-        dev = deviance(data, beta, sigma2, w)
+        dev = -2.0 * sampler_loglik(data, d, "gaussian", 1.5, beta, sigma2)
         ref = 0.0
         for k in range(2):
             mask = w[k] > 0
@@ -89,10 +86,12 @@ class TestDeviance:
         assert abs(dev - ref) < 1e-9
 
     def test_nonpositive_sigma2_rejected(self):
-        data, _ = two_location_setup(np.random.default_rng(2))
-        with pytest.raises(ValueError, match="sigma2"):
-            deviance(data, np.zeros((2, 2)), np.array([1.0, 0.0]),
-                     np.ones((2, 12)))
+        # the sampler evaluates this deviance at its starting point
+        data, d = two_location_setup(np.random.default_rng(2))
+        cfg = BayesConfig(chain_length=2, burn_in=1, bandwidth_upper=10.0,
+                          fix_sigma2=-1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            run_sampler(data, d, "exponential", cfg)
 
 
 class TestDic:

@@ -5,11 +5,10 @@ import pytest
 from scipy.stats import kstest, multivariate_normal
 
 from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, hpd_interval,
-                            log_likelihood_location, posterior_summary,
-                            run_sampler, selected_model)
+                            posterior_summary, run_sampler, selected_model)
 from bgwr.freq_gwr import Dataset
-from bgwr.spatial_graph import DistanceMatrix
-from bgwr.weighting import WeightMatrix
+from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from conftest import loglik_oracle, sampler_loglik
 
 
 def one_location_distance():
@@ -52,14 +51,17 @@ class TestConfigValidation:
 
 
 class TestLogLikelihoodLocation:
+    """The per-location weighted Gaussian log-likelihood, summed over
+    locations, as the sampler computes it from block statistics."""
+
     def test_unity_weights_iid_normal(self):
         rng = np.random.default_rng(0)
         data = Dataset(y=rng.normal(size=8), X=rng.normal(size=(8, 2)),
                        locations=("a",) * 8)
         beta = np.array([0.4, -1.1])
         s2 = 1.7
-        got = log_likelihood_location(data, "a", beta, s2,
-                                      WeightMatrix("a", np.ones(8)))
+        got = sampler_loglik(data, one_location_distance(), "unity", None,
+                             beta[None], np.array([s2]))
         resid = data.y - data.X @ beta
         ref = -0.5 * (8 * math.log(2 * math.pi * s2) + resid @ resid / s2)
         assert abs(got - ref) < 1e-12
@@ -68,45 +70,70 @@ class TestLogLikelihoodLocation:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 2))
         beta = np.array([2.0, -3.0])
-        data = Dataset(y=X @ beta, X=X, locations=("a",) * 6)
-        w = WeightMatrix("a", rng.uniform(0.2, 1.0, size=6))
-        low = log_likelihood_location(data, "a", beta, 1.0, w)
-        high = log_likelihood_location(data, "a", beta, 2.0, w)
-        assert abs((high - low) - (-6 / 2 * math.log(2))) < 1e-12
+        data = Dataset(y=X @ beta, X=X, locations=("A", "A", "B", "B", "C", "C"))
+        d = graph_distances(build_graph("ABC", [("A", "B"), ("B", "C")]))
+        betas = np.tile(beta, (3, 1))
+        low = sampler_loglik(data, d, "exponential", 1.5, betas, np.ones(3))
+        high = sampler_loglik(data, d, "exponential", 1.5, betas, np.full(3, 2.0))
+        # every row has positive weight at each of the three locations
+        assert abs((high - low) - (-3 * 6 / 2 * math.log(2))) < 1e-12
 
     def test_matches_dense_mvn_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(2, 9))
+            # one row per location, so the weights vary row by row
+            labels = tuple(f"l{i}" for i in range(n))
+            dist = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), 1)
+            d = DistanceMatrix(labels, dist + dist.T, "graph")
             data = Dataset(y=rng.normal(size=n), X=rng.normal(size=(n, 2)),
-                           locations=("a",) * n)
-            wt = rng.uniform(0.05, 1.0, size=n)
-            beta = rng.normal(size=2)
-            s2 = float(rng.uniform(0.3, 3.0))
-            got = log_likelihood_location(data, "a", beta, s2,
-                                          WeightMatrix("a", wt))
-            ref = multivariate_normal.logpdf(data.y, mean=data.X @ beta,
-                                             cov=s2 * np.diag(1.0 / wt))
+                           locations=labels)
+            b = float(rng.uniform(0.5, 4.0))
+            beta = rng.normal(size=(n, 2))
+            s2 = rng.uniform(0.3, 3.0, size=n)
+            got = sampler_loglik(data, d, "exponential", b, beta, s2)
+            ref = sum(multivariate_normal.logpdf(
+                data.y, mean=data.X @ beta[s],
+                cov=s2[s] * np.diag(np.exp(d.values[s] / b))) for s in range(n))
             assert abs(got - ref) < 1e-9
 
     def test_zero_weight_rows_excluded(self):
         rng = np.random.default_rng(3)
-        data = Dataset(y=rng.normal(size=6), X=rng.normal(size=(6, 2)),
-                       locations=("a",) * 6)
-        beta = rng.normal(size=2)
-        wt = np.array([1.0, 0.5, 0.0, 0.7, 0.0, 1.0])
-        full = log_likelihood_location(data, "a", beta, 1.0,
-                                       WeightMatrix("a", wt))
-        sub = Dataset(y=data.y[wt > 0], X=data.X[wt > 0], locations=("a",) * 4)
-        ref = log_likelihood_location(sub, "a", beta, 1.0,
-                                      WeightMatrix("a", wt[wt > 0]))
+        # path A-B-C plus an unreachable D; step(1) keeps adjacent rows only
+        d = graph_distances(build_graph("ABCD", [("A", "B"), ("B", "C")]))
+        locs = ("A", "B", "C", "D", "A", "C", "D")
+        data = Dataset(y=rng.normal(size=7), X=rng.normal(size=(7, 2)), locations=locs)
+        beta = rng.normal(size=(4, 2))
+        s2 = rng.uniform(0.5, 2.0, size=4)
+        full = sampler_loglik(data, d, "step", 1.0, beta, s2)
+        ref = 0.0
+        for k, s in enumerate(data.unique_locations()):
+            keep = np.array([d.get(s, o) <= 1.0 for o in locs])
+            sub = Dataset(y=data.y[keep], X=data.X[keep], locations=("a",) * keep.sum())
+            ref += sampler_loglik(sub, one_location_distance(), "unity", None,
+                                  beta[k][None], s2[k:k + 1])
         assert abs(full - ref) < 1e-12
 
+    def test_underflowed_weights_keep_log_weight_penalty(self):
+        rng = np.random.default_rng(4)
+        d = DistanceMatrix(("a", "b"), np.array([[0.0, 800.0], [800.0, 0.0]]), "graph")
+        data = Dataset(y=rng.normal(size=6), X=rng.normal(size=(6, 2)),
+                       locations=("a",) * 3 + ("b",) * 3)
+        beta = rng.normal(size=(2, 2))
+        s2 = np.array([0.7, 1.9])
+        assert np.exp(-800.0) == 0.0
+        got = sampler_loglik(data, d, "exponential", 1.0, beta, s2)
+        own = np.array([[0.0] * 3 + [-800.0] * 3, [-800.0] * 3 + [0.0] * 3])
+        ref = loglik_oracle(data, own, beta, s2)
+        assert got == pytest.approx(ref, rel=1e-12)
+
     def test_nonpositive_sigma2_rejected(self):
+        # the sampler evaluates this likelihood at its starting point
         data = Dataset(y=np.zeros(2), X=np.ones((2, 1)), locations=("a", "a"))
-        with pytest.raises(ValueError, match="sigma2"):
-            log_likelihood_location(data, "a", np.zeros(1), 0.0,
-                                    WeightMatrix("a", np.ones(2)))
+        cfg = BayesConfig(chain_length=2, burn_in=1, fix_sigma2=0.0)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            run_sampler(data, one_location_distance(), "unity", cfg)
 
 
 class TestConjugateExactness:
@@ -248,6 +275,14 @@ class TestHpd:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             hpd_interval([])
+
+    def test_along_axis_zero_matches_each_column(self):
+        x = np.random.default_rng(5).gamma(2.0, size=(300, 4, 3))
+        lo, hi = hpd_interval(x, mass=0.9)
+        assert lo.shape == hi.shape == (4, 3)
+        for k in range(4):
+            for j in range(3):
+                assert (lo[k, j], hi[k, j]) == hpd_interval(x[:, k, j], mass=0.9)
 
 
 class TestSummaryAndSelection:

@@ -177,11 +177,23 @@ class TestCliCommands:
     def test_same_seed_byte_identical(self, tmp_path, china):
         data = synthetic_dataset_file(tmp_path / "d.csv", china)
         args = ["fit", "--data", str(data), "--kernel", "exponential",
-                "--chain", "300", "--burnin", "100", "--seed", "3"]
+                "--chain", "300", "--burnin", "100", "--seed", "3", "--dump-chains"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        for name in ("posterior_summary.csv", "gamma_inclusion.csv", "b_trace.csv"):
+        for name in ("posterior_summary.csv", "gamma_inclusion.csv", "b_trace.csv",
+                     "chains.csv", "manifest.txt"):
+            assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+    def test_simulate_same_seed_byte_identical(self, tmp_path):
+        args = ["simulate", "--design", "constant", "--setting", "1",
+                "--replicates", "2", "--chain", "300", "--burnin", "100",
+                "--kernel", "exponential", "--methods", "bayes,freq",
+                "--with-assessment", "--seed", "7"]
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        for name in ("report.csv", "manifest.txt"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
     def test_failure_cleans_partial_outputs(self, tmp_path, china, capsys):

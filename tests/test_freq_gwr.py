@@ -5,7 +5,7 @@ from bgwr.freq_gwr import (RCOND_MIN, Dataset, SingularSystemError,
                            default_bandwidth_grid, effective_params_freq,
                            fit_all_locations, select_bandwidth_grid, wls_fit)
 from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
-from bgwr.weighting import WeightMatrix, WeightScheme, kernel_weight, weight_matrix
+from bgwr.weighting import KERNELS, WeightMatrix, WeightScheme, kernel_weight, weight_matrix
 
 
 def two_location_distance():
@@ -157,8 +157,19 @@ class TestBandwidthGrid:
         grid = [0.5, 2.0, 8.0]
         _, table = select_bandwidth_grid(data, proto, d, grid)
         for b, sse in table:
-            ref = fit_all_locations(data, proto.with_bandwidth(b), d).sse
+            ref = fit_all_locations(data, WeightScheme("exponential", b), d).sse
             assert sse == ref
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_name_same_as_scheme(self, kernel, china_d):
+        rng = np.random.default_rng(14)
+        data = random_dataset(rng, n=90, locations=china_d.labels)
+        grid = default_bandwidth_grid(china_d, num=8)
+        by_name = select_bandwidth_grid(data, kernel, china_d, grid)
+        by_scheme = select_bandwidth_grid(
+            data, WeightScheme(kernel, None if kernel == "unity" else 1.0), china_d, grid)
+        assert by_name[0] == by_scheme[0]
+        np.testing.assert_array_equal(np.array(by_name[1]), np.array(by_scheme[1]))
 
     def test_tie_breaks_toward_smaller(self):
         # step thresholds inside the same distance gap give identical weights,

@@ -178,15 +178,6 @@ class TestRunStudy:
         assert rep.coefficients == ("x1", "x2")
         assert rep.mean_bandwidth > 0
 
-    def test_worker_count_does_not_change_results(self):
-        design, d, cfg = self.tiny_setup()
-        design.replicates = 3
-        seq = run_study(design, d, "exponential", cfg, workers=1)
-        par = run_study(design, d, "exponential", cfg, workers=3)
-        np.testing.assert_array_equal(seq.mab, par.mab)
-        np.testing.assert_array_equal(seq.mcr, par.mcr)
-        assert seq.mean_bandwidth == par.mean_bandwidth
-
     def test_freq_method_reported(self):
         design, d, cfg = self.tiny_setup()
         rep = run_study(design, d, "exponential", cfg, methods=("bayes", "freq"),
