@@ -74,6 +74,8 @@ class BayesConfig:
             raise ValueError("bandwidth upper limit D must be positive")
         if not 0 <= self.burn_in < self.chain_length:
             raise ValueError("require 0 <= burn_in < chain_length")
+        if self.fix_sigma2 is not None and not self.fix_sigma2 > 0:
+            raise ValueError("fix_sigma2 must be positive")
 
 
 @dataclass
@@ -134,11 +136,13 @@ def weighted_blocks(K, G, h):
     """X'W(s)X = sum_l K[s, l] G_l and X'W(s)y = sum_l K[s, l] h_l at every
     location s, from (L, L) weights K and the Gram blocks and cross products
     of ``block_stats``; the sampler and the frequentist fit share it."""
-    return np.einsum("sl,lij->sij", K, G), K @ h
+    L, p, _ = G.shape
+    return (K @ G.reshape(L, p * p)).reshape(-1, p, p), K @ h
 
 
-def _kernel_state(kernel, dsub, b, counts, G, h):
-    """Everything that depends on the bandwidth: weights, blocks, log-det.
+def _kernel_state(kernel, dsub, b, counts, G, h, q):
+    """Everything that depends on the bandwidth: the weighted blocks M and V,
+    the weighted response norms Kq, the diagonal of M and the log-det terms.
 
     Positivity is judged on the analytic log weights so that underflowed
     (but structurally positive) weights keep their observations in the
@@ -150,18 +154,21 @@ def _kernel_state(kernel, dsub, b, counts, G, h):
     npos = pos @ counts
     sumlogw = np.where(pos, logK, 0.0) @ counts
     M, V = weighted_blocks(K, G, h)
-    return {"b": b, "K": K, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V}
+    return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V,
+            "Kq": K @ q, "Mdiag": np.diagonal(M, axis1=1, axis2=2).copy()}
 
 
-def _total_loglik(state, A, sigma2):
-    Q = (state["K"] * A).sum(axis=1)
+def _weighted_rss(state, beta):
+    """Q_s = sum_l K[s, l] (q_l - 2 beta_s . h_l + beta_s' G_l beta_s), the
+    kernel-weighted residual sum of squares at every location, in O(L p^2)
+    from the kernel state: Q_s = Kq_s - 2 beta_s . V_s + beta_s' M_s beta_s."""
+    Mbeta = (state["M"] @ beta[:, :, None])[:, :, 0]
+    return state["Kq"] + np.einsum("sp,sp->s", beta, Mbeta - 2.0 * state["V"])
+
+
+def _total_loglik(state, Q, sigma2):
     return -0.5 * float(np.sum(state["npos"] * (math.log(2 * math.pi) + np.log(sigma2))
                                - state["sumlogw"] + Q / sigma2))
-
-
-def _quad_matrix(beta, G, h, q):
-    """A[s, l] = q_l - 2 beta_s . h_l + beta_s' G_l beta_s."""
-    return q[None, :] - 2.0 * beta @ h.T + np.einsum("sp,lpq,sq->sl", beta, G, beta)
 
 
 def _fold(x, upper):
@@ -196,16 +203,15 @@ def run_sampler(data, d, kernel, cfg):
     tau2 = np.full(p, cfg.tau2)
     b = cfg.fix_bandwidth if cfg.fix_bandwidth is not None else D / 2.0
 
-    state = _kernel_state(kernel, dsub, b, counts, G, h)
+    state = _kernel_state(kernel, dsub, b, counts, G, h, q)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
     beta = np.linalg.solve(ridge, state["V"][..., None])[..., 0]
-    A = _quad_matrix(beta, G, h, q)
-    Q0 = (state["K"] * A).sum(axis=1)
-    sigma2 = np.maximum(Q0 / np.maximum(state["npos"], 1.0), 1e-6)
+    Q = _weighted_rss(state, beta)
+    sigma2 = np.maximum(Q / np.maximum(state["npos"], 1.0), 1e-6)
     if cfg.fix_sigma2 is not None:
         sigma2 = np.full(L, float(cfg.fix_sigma2))
-    if not flat and not np.isfinite(_total_loglik(state, A, sigma2)):
+    if not flat and not np.isfinite(_total_loglik(state, Q, sigma2)):
         raise ValueError("non-finite posterior density at initialization")
 
     logit_prior = math.log(cfg.inclusion_prior) - math.log1p(-cfg.inclusion_prior)
@@ -220,18 +226,23 @@ def run_sampler(data, d, kernel, cfg):
 
     for t in range(cfg.chain_length):
         # --- (gamma_j, beta_j(.)) blocked updates -------------------------
-        Mbeta = np.einsum("sij,sj->si", state["M"], beta)
+        # fixed while sigma2 and b are: the diagonal of M, its positive
+        # entries, the likelihood precisions and the t-statistic denominators
+        Mdiag = state["Mdiag"]
+        if flat:
+            lam = tstat = np.zeros(L)
+        else:
+            has_obs = Mdiag > 0
+            lam_all = np.where(has_obs, Mdiag / sigma2[:, None], 0.0)
+            den_all = np.where(has_obs, Mdiag, 1.0) * sigma2[:, None]
+        Mbeta = (state["M"] @ beta[:, :, None])[:, :, 0]
         for j in range(p):
             v0 = tau2[j]
             v1 = cfg.c2 * tau2[j]
-            Mjj = state["M"][:, j, j]
-            num = state["V"][:, j] - Mbeta[:, j] + Mjj * beta[:, j]
-            if flat:
-                lam = np.zeros(L)
-                tstat = np.zeros(L)
-            else:
-                lam = np.where(Mjj > 0, Mjj / sigma2, 0.0)
-                tstat = np.where(Mjj > 0, num ** 2 / (np.where(Mjj > 0, Mjj, 1.0) * sigma2), 0.0)
+            num = state["V"][:, j] - Mbeta[:, j] + Mdiag[:, j] * beta[:, j]
+            if not flat:
+                lam = lam_all[:, j]
+                tstat = np.where(has_obs[:, j], num ** 2 / den_all[:, j], 0.0)
             if not cfg.selection:
                 gamma[j] = 1
                 v = cfg.slab_only_var
@@ -249,12 +260,14 @@ def run_sampler(data, d, kernel, cfg):
                 new_bj = rng.normal(0.0, math.sqrt(v), size=L)
             else:
                 prec = lam + 1.0 / v
-                mean = np.where(Mjj > 0, num / sigma2, 0.0) / prec
+                mean = np.where(has_obs[:, j], num / sigma2, 0.0) / prec
                 new_bj = mean + rng.normal(size=L) / np.sqrt(prec)
             Mbeta += state["M"][:, :, j] * (new_bj - beta[:, j])[:, None]
             beta[:, j] = new_bj
 
-        A = _quad_matrix(beta, G, h, q)
+        # the current state's weighted RSS, shared by the sigma2 draw and MH
+        if not flat:
+            Q = _weighted_rss(state, beta)
 
         # --- sigma2(s) ----------------------------------------------------
         if cfg.fix_sigma2 is None:
@@ -264,7 +277,6 @@ def run_sampler(data, d, kernel, cfg):
                                np.finfo(float).tiny)
                 sigma2 = 1.0 / g
             else:
-                Q = (state["K"] * A).sum(axis=1)
                 shape = cfg.alpha1 + state["npos"] / 2.0
                 rate = cfg.alpha2 + Q / 2.0
                 sigma2 = rate / rng.gamma(shape, 1.0, size=L)
@@ -278,12 +290,12 @@ def run_sampler(data, d, kernel, cfg):
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
             b_prop = _fold(state["b"] + prop_scale * rng.normal(), D)
+            prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h, q)
             if flat:
                 accept = True
-                prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h)
             else:
-                prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h)
-                log_ratio = _total_loglik(prop_state, A, sigma2) - _total_loglik(state, A, sigma2)
+                log_ratio = (_total_loglik(prop_state, _weighted_rss(prop_state, beta), sigma2)
+                             - _total_loglik(state, Q, sigma2))
                 accept = math.log(rng.random()) < log_ratio
             if accept:
                 state = prop_state

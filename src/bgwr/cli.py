@@ -112,6 +112,9 @@ def cmd_distance(args, rc):
 
 
 def cmd_fit(args, rc):
+    if rc["method"] == "bayes" and rc["bandwidth"] is not None:
+        raise ValueError("--bandwidth applies to --method freq only; "
+                         "the Bayesian fit samples the bandwidth")
     graph = _load_graph(args)
     d = graph_distances(graph)
     data = dataio.parse_dataset(args.data, standardize=rc["standardize"],

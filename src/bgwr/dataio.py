@@ -170,14 +170,17 @@ def write_chains(path, post):
     cols = (["draw", "location", "b", "sigma2"]
             + [f"beta_{j + 1}" for j in range(p)]
             + [f"gamma_{j + 1}" for j in range(p)])
+    numbers = "%" + ",%".join([FLOAT_FMT] * (p + 1))
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for t in range(post.n_draws):
-            for k, s in enumerate(post.locations):
-                row = [str(t), s, fmt(float(post.b[t])), fmt(float(post.sigma2[t, k]))]
-                row += [fmt(float(v)) for v in post.beta[t, k]]
-                row += [str(int(g)) for g in post.gamma[t]]
-                fh.write(",".join(row) + "\n")
+            # b and gamma are shared by the draw's rows: format them once
+            row = (f"{t},%s,{fmt(float(post.b[t]))},{numbers},"
+                   + ",".join(str(int(g)) for g in post.gamma[t]) + "\n")
+            values = np.column_stack((post.sigma2[t], post.beta[t]))
+            values[np.isinf(values)] = np.inf  # fmt writes either infinity as "inf"
+            fh.write("".join([row % (s, *v) for s, v in
+                              zip(post.locations, values.tolist())]))
 
 
 def read_chains(path, kernel, d):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bgwr.bayes_gwr import _kernel_state, _quad_matrix, _total_loglik, block_stats
+from bgwr.bayes_gwr import _kernel_state, _total_loglik, _weighted_rss, block_stats
 from bgwr.dataio import china_graph
 from bgwr.spatial_graph import build_graph, graph_distances
 
@@ -70,9 +70,9 @@ def sampler_loglik(data, d, kernel, b, beta, sigma2):
     ``data.unique_locations()`` order."""
     locs = data.unique_locations()
     G, h, q, counts = block_stats(data, locs)
-    state = _kernel_state(kernel, d.submatrix(locs), b, counts, G, h)
-    A = _quad_matrix(np.asarray(beta, dtype=float), G, h, q)
-    return _total_loglik(state, A, np.asarray(sigma2, dtype=float))
+    state = _kernel_state(kernel, d.submatrix(locs), b, counts, G, h, q)
+    Q = _weighted_rss(state, np.asarray(beta, dtype=float))
+    return _total_loglik(state, Q, np.asarray(sigma2, dtype=float))
 
 
 def loglik_oracle(data, log_w, beta, sigma2):

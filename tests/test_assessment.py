@@ -86,12 +86,10 @@ class TestDeviance:
         assert abs(dev - ref) < 1e-9
 
     def test_nonpositive_sigma2_rejected(self):
-        # the sampler evaluates this deviance at its starting point
-        data, d = two_location_setup(np.random.default_rng(2))
-        cfg = BayesConfig(chain_length=2, burn_in=1, bandwidth_upper=10.0,
-                          fix_sigma2=-1.0)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            run_sampler(data, d, "exponential", cfg)
+        # the deviance is undefined at sigma2 <= 0, so the config refuses it
+        with pytest.raises(ValueError, match="fix_sigma2 must be positive"):
+            BayesConfig(chain_length=2, burn_in=1, bandwidth_upper=10.0,
+                        fix_sigma2=-1.0)
 
 
 class TestDic:

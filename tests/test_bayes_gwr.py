@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, multivariate_normal
 
-from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, hpd_interval,
-                            posterior_summary, run_sampler, selected_model)
+from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _kernel_state, _weighted_rss,
+                            block_stats, hpd_interval, posterior_summary, run_sampler,
+                            selected_model, weighted_blocks)
 from bgwr.freq_gwr import Dataset
 from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from bgwr.weighting import WeightScheme, kernel_weight
 from conftest import loglik_oracle, sampler_loglik
 
 
@@ -48,6 +50,15 @@ class TestConfigValidation:
     def test_bad_bandwidth_upper(self):
         with pytest.raises(ValueError):
             BayesConfig(bandwidth_upper=0.0)
+
+    def test_nonpositive_fix_sigma2(self):
+        # the flat chain never evaluates the likelihood, so only the config
+        # stands between it and recording sigma2 <= 0
+        for flat in (False, True):
+            for value in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="fix_sigma2 must be positive"):
+                    BayesConfig(fix_sigma2=value, flat_likelihood=flat)
+        assert BayesConfig(fix_sigma2=1e-300, flat_likelihood=True).fix_sigma2 == 1e-300
 
 
 class TestLogLikelihoodLocation:
@@ -128,12 +139,57 @@ class TestLogLikelihoodLocation:
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_nonpositive_sigma2_rejected(self):
-        # the sampler evaluates this likelihood at its starting point
-        data = Dataset(y=np.zeros(2), X=np.ones((2, 1)), locations=("a", "a"))
-        cfg = BayesConfig(chain_length=2, burn_in=1, fix_sigma2=0.0)
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite"):
-            run_sampler(data, one_location_distance(), "unity", cfg)
+        # the likelihood is undefined at sigma2 <= 0, so the config refuses it
+        with pytest.raises(ValueError, match="fix_sigma2 must be positive"):
+            BayesConfig(chain_length=2, burn_in=1, fix_sigma2=0.0)
+
+
+# every kernel on a path a-b-c-d plus an unreachable e; the small
+# exponential, gaussian and graph_exp bandwidths underflow exp (d/b > 745)
+CORE_SCHEMES = [WeightScheme("unity"), WeightScheme("step", 1.0),
+                WeightScheme("exponential", 2.0), WeightScheme("exponential", 0.002),
+                WeightScheme("gaussian", 1.5), WeightScheme("gaussian", 0.05),
+                WeightScheme("bisquare", 2.5), WeightScheme("graph_exp", 0.002)]
+CORE_IDS = [f"{s.kernel}-{s.bandwidth}" for s in CORE_SCHEMES]
+
+
+class TestLikelihoodCore:
+    """The kernel-state sums against dense (L, L) references."""
+
+    def setup_case(self, scheme):
+        rng = np.random.default_rng(30)
+        d = graph_distances(build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d")]))
+        n, p = 23, 3
+        data = Dataset(y=rng.normal(size=n), X=rng.normal(size=(n, p)),
+                       locations=tuple("abcde"[i % 5] for i in range(n)))
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        K = kernel_weight(scheme, d.submatrix(locs))
+        return rng, data, locs, d, (G, h, q, counts), K
+
+    @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
+    def test_weighted_rss_matches_dense_row_sum(self, scheme):
+        rng, data, locs, d, (G, h, q, counts), K = self.setup_case(scheme)
+        beta = rng.normal(size=(len(locs), data.p))
+        # A[s, l]: squared residuals of location l's rows under beta_s
+        A = np.array([[np.sum((data.y[rows] - data.X[rows] @ beta[s]) ** 2)
+                       for rows in (np.array(data.locations) == l for l in locs)]
+                      for s in range(len(locs))])
+        state = _kernel_state(scheme.kernel, d.submatrix(locs), scheme.bandwidth,
+                              counts, G, h, q)
+        np.testing.assert_allclose(_weighted_rss(state, beta), (K * A).sum(axis=1),
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(state["Mdiag"],
+                                      np.diagonal(state["M"], axis1=1, axis2=2))
+
+    @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
+    def test_weighted_blocks_match_einsum(self, scheme):
+        _, _, _, _, (G, h, _, _), K = self.setup_case(scheme)
+        M, V = weighted_blocks(K, G, h)
+        ref = np.einsum("sl,lij->sij", K, G)
+        assert M.shape == ref.shape
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(V, np.einsum("sl,li->si", K, h), rtol=1e-12)
 
 
 class TestConjugateExactness:

@@ -6,7 +6,7 @@ import pytest
 
 from bgwr import dataio
 from bgwr.assessment import assess
-from bgwr.bayes_gwr import BayesConfig, run_sampler
+from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
 from bgwr.cli import DEFAULTS, _resolve, build_parser, main
 from bgwr.spatial_graph import DistanceMatrix, graph_distances
 
@@ -174,6 +174,21 @@ class TestCliCommands:
         summary = dataio.load_config(out / "summary.txt")
         assert float(summary["bandwidth"]) == 5.0
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fit_bayes_rejects_bandwidth(self, tmp_path, china, capsys, source):
+        data = synthetic_dataset_file(tmp_path / "d.csv", china)
+        out = tmp_path / "fit"
+        args = ["fit", "--data", str(data), "--out", str(out), "--kernel",
+                "exponential", "--chain", "300", "--burnin", "100"]
+        if source == "flag":
+            args += ["--bandwidth", "3.0"]
+        else:
+            write_lines(tmp_path / "c.txt", ["bandwidth = 3.0"])
+            args += ["--config", str(tmp_path / "c.txt")]
+        assert main(args) == 1
+        assert "samples the bandwidth" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     def test_same_seed_byte_identical(self, tmp_path, china):
         data = synthetic_dataset_file(tmp_path / "d.csv", china)
         args = ["fit", "--data", str(data), "--kernel", "exponential",
@@ -255,6 +270,31 @@ class TestCliCommands:
         np.testing.assert_array_equal(back.gamma, post.gamma)
         np.testing.assert_array_equal(back.b, post.b)
         assert back.locations == post.locations
+
+    def test_chain_dump_matches_row_by_row_format(self, tmp_path):
+        # byte-level oracle: every field of every row through fmt, joined
+        rng = np.random.default_rng(5)
+        T, L, p = 4, 3, 2
+        beta = rng.normal(size=(T, L, p)) * 10.0 ** rng.integers(-5, 6, size=(T, L, p))
+        beta[0, 0, 0], beta[1, 2, 1], beta[2, 1, 0], beta[3, 2, 0] = -2.5e-300, 1.7e308, np.inf, -np.inf
+        sigma2 = rng.gamma(1.0, size=(T, L))
+        sigma2[3, 0] = np.inf
+        post = GwrPosterior(locations=("a", "b b", "c-1"), beta=beta, sigma2=sigma2,
+                            gamma=rng.integers(0, 2, size=(T, p)),
+                            b=np.array([0.5, -1e-20, 3.0, 1.2345678901234567e22]),
+                            acceptance_rate_b=0.5, kernel="exponential",
+                            dsub=np.zeros((L, L)), config=BayesConfig())
+        fmt = dataio.fmt
+        lines = ["draw,location,b,sigma2,beta_1,beta_2,gamma_1,gamma_2"]
+        for t in range(T):
+            for k, s in enumerate(post.locations):
+                row = [str(t), s, fmt(float(post.b[t])), fmt(float(post.sigma2[t, k]))]
+                row += [fmt(float(v)) for v in post.beta[t, k]]
+                row += [str(int(g)) for g in post.gamma[t]]
+                lines.append(",".join(row))
+        path = tmp_path / "chains.csv"
+        dataio.write_chains(path, post)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_assess_rejects_truncated_chains(self, tmp_path, china, capsys):
         data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
