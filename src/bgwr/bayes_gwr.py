@@ -120,16 +120,19 @@ def block_stats(data, locations):
     G = np.zeros((L, p, p))
     h = np.zeros((L, p))
     q = np.zeros(L)
-    counts = np.zeros(L)
-    loc_arr = np.array(data.locations)
-    for k, s in enumerate(locations):
-        rows = loc_arr == s
+    # group the rows by location once (rows elsewhere go to group L, which
+    # is dropped), keeping each location's rows in data order
+    index = {s: k for k, s in enumerate(locations)}
+    group = np.array([index.get(s, L) for s in data.locations])
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(L + 1))
+    for k in range(L):
+        rows = order[bounds[k]:bounds[k + 1]]
         Xs, ys = data.X[rows], data.y[rows]
         G[k] = Xs.T @ Xs
         h[k] = Xs.T @ ys
         q[k] = ys @ ys
-        counts[k] = rows.sum()
-    return G, h, q, counts
+    return G, h, q, np.diff(bounds).astype(float)
 
 
 def weighted_blocks(K, G, h):

@@ -182,6 +182,22 @@ class TestLikelihoodCore:
         np.testing.assert_array_equal(state["Mdiag"],
                                       np.diagonal(state["M"], axis1=1, axis2=2))
 
+    def test_block_stats_match_per_location_masks(self):
+        rng = np.random.default_rng(31)
+        data = Dataset(y=rng.normal(size=40), X=rng.normal(size=(40, 3)),
+                       locations=tuple(rng.choice(list("abcdef"), size=40).tolist()))
+        # another order, a location without rows, and rows ("f") left out
+        locs = ("e", "c", "z", "a", "d", "b")
+        got = block_stats(data, locs)
+        loc_arr = np.array(data.locations)
+        for k, s in enumerate(locs):
+            rows = loc_arr == s
+            Xs, ys = data.X[rows], data.y[rows]
+            np.testing.assert_array_equal(got[0][k], Xs.T @ Xs)
+            np.testing.assert_array_equal(got[1][k], Xs.T @ ys)
+            assert got[2][k] == ys @ ys
+            assert got[3][k] == rows.sum()
+
     @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
     def test_weighted_blocks_match_einsum(self, scheme):
         _, _, _, _, (G, h, _, _), K = self.setup_case(scheme)
