@@ -161,6 +161,43 @@ def _kernel_state(kernel, dsub, b, counts, G, h, q):
             "Kq": K @ q, "Mdiag": np.diagonal(M, axis1=1, axis2=2).copy()}
 
 
+def _distance_shells(dsub, counts, G, h, q):
+    """The block statistics summed over distance shells, or None when the
+    distances are not shared enough to pay (U >= L distinct finite values).
+
+    Returns (p, u, T, n): the U distinct finite distances u, the tensor T of
+    shape (U, L, p^2+p+2) with T[k, s] the sum of [G_l | h_l | q_l | n_l]
+    over the l with dsub[s, l] == u[k], and its count plane n = T[:, :, -1].
+    Unreachable pairs are left out, as every kernel gives them weight zero.
+    Graph hop counts always qualify: U is the diameter plus one.
+    """
+    finite = np.isfinite(dsub)
+    u, k = np.unique(dsub[finite], return_inverse=True)
+    L, U, p = len(dsub), len(u), G.shape[1]
+    if U >= L:
+        return None
+    s, l = np.nonzero(finite)
+    idx = k * L + s
+    stats = np.column_stack((G.reshape(L, p * p), h, q, counts)).T
+    T = np.stack([np.bincount(idx, weights=col[l], minlength=U * L) for col in stats])
+    T = np.ascontiguousarray(T.reshape(-1, U, L).transpose(1, 2, 0))
+    return p, u, T, np.ascontiguousarray(T[:, :, -1])
+
+
+def _shell_state(kernel, shells, b):
+    """``_kernel_state`` from the shell tensor of ``_distance_shells``: U kernel
+    values and one vector-matrix product, O(L U p^2) instead of O(L^2 p^2)."""
+    p, u, T, n = shells
+    U, L, C = T.shape
+    lw = log_kernel_weight(WeightScheme(kernel, b), u)
+    pos = np.isfinite(lw)
+    S = (np.exp(lw) @ T.reshape(U, L * C)).reshape(L, C)
+    M = np.ascontiguousarray(S[:, :p * p]).reshape(L, p, p)
+    return {"b": b, "npos": pos @ n, "sumlogw": np.where(pos, lw, 0.0) @ n, "M": M,
+            "V": S[:, p * p:p * p + p], "Kq": S[:, -2],
+            "Mdiag": np.diagonal(M, axis1=1, axis2=2).copy()}
+
+
 def _weighted_rss(state, beta):
     """Q_s = sum_l K[s, l] (q_l - 2 beta_s . h_l + beta_s' G_l beta_s), the
     kernel-weighted residual sum of squares at every location, in O(L p^2)
@@ -206,7 +243,15 @@ def run_sampler(data, d, kernel, cfg):
     tau2 = np.full(p, cfg.tau2)
     b = cfg.fix_bandwidth if cfg.fix_bandwidth is not None else D / 2.0
 
-    state = _kernel_state(kernel, dsub, b, counts, G, h, q)
+    # the shell build pays off only over many bandwidths, i.e. when b is sampled
+    shells = None if cfg.fix_bandwidth is not None else _distance_shells(dsub, counts, G, h, q)
+
+    def kernel_state(b):
+        if shells is None:
+            return _kernel_state(kernel, dsub, b, counts, G, h, q)
+        return _shell_state(kernel, shells, b)
+
+    state = kernel_state(b)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
     beta = np.linalg.solve(ridge, state["V"][..., None])[..., 0]
@@ -282,18 +327,18 @@ def run_sampler(data, d, kernel, cfg):
             else:
                 shape = cfg.alpha1 + state["npos"] / 2.0
                 rate = cfg.alpha2 + Q / 2.0
-                sigma2 = rate / rng.gamma(shape, 1.0, size=L)
+                sigma2 = rate / rng.standard_gamma(shape)
 
         # --- tau_j^2 hyperprior -------------------------------------------
         if cfg.tau_hyperprior and cfg.selection:
             scale_div = np.where(gamma == 1, cfg.c2, 1.0)
             rate = cfg.alpha2 + 0.5 * (beta ** 2 / scale_div).sum(axis=0)
-            tau2 = rate / rng.gamma(cfg.alpha1 + L / 2.0, 1.0, size=p)
+            tau2 = rate / rng.standard_gamma(cfg.alpha1 + L / 2.0, size=p)
 
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
             b_prop = _fold(state["b"] + prop_scale * rng.normal(), D)
-            prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h, q)
+            prop_state = kernel_state(b_prop)
             if flat:
                 accept = True
             else:

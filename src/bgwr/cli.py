@@ -156,6 +156,9 @@ def cmd_fit(args, rc):
 
 
 def cmd_simulate(args, rc):
+    if rc["bandwidth"] is not None:
+        raise ValueError("--bandwidth does not apply to simulate; the Bayesian fit "
+                         "samples the bandwidth and the baseline selects it by grid")
     graph = _load_graph(args)
     d = graph_distances(graph)
     setting = args.setting

@@ -13,7 +13,6 @@ round-trips exactly.
 """
 
 import importlib.resources
-import math
 
 import numpy as np
 
@@ -24,11 +23,7 @@ FLOAT_FMT = ".17g"
 
 
 def fmt(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return format(x, FLOAT_FMT)
-    return str(x)
+    return format(x, FLOAT_FMT) if isinstance(x, float) else str(x)
 
 
 def load_adjacency(path):
@@ -178,7 +173,6 @@ def write_chains(path, post):
             row = (f"{t},%s,{fmt(float(post.b[t]))},{numbers},"
                    + ",".join(str(int(g)) for g in post.gamma[t]) + "\n")
             values = np.column_stack((post.sigma2[t], post.beta[t]))
-            values[np.isinf(values)] = np.inf  # fmt writes either infinity as "inf"
             fh.write("".join([row % (s, *v) for s, v in
                               zip(post.locations, values.tolist())]))
 

@@ -6,7 +6,6 @@ path.  Disconnected pairs carry the sentinel ``UNREACHABLE`` (infinity), which
 every weighting kernel maps to weight zero.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,28 +118,42 @@ def build_graph(vertices, edges, patches=()):
 
 
 def graph_distances(g):
-    """All-pairs hop-count distance via per-source BFS.
+    """All-pairs hop-count distance by a breadth-first search from every
+    source at once.
 
-    Disconnected pairs get UNREACHABLE; this is a value, not an error.
+    Level k marks, for all sources together, the unvisited vertices with a
+    neighbour on level k-1: a gather of frontier rows through a padded
+    neighbour-index array, whose padding points at an all-False sentinel
+    row.  Distances are symmetric, so row v of the frontier holds vertex v
+    for every source.  Disconnected pairs get UNREACHABLE; this is a value,
+    not an error.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise GraphError("empty graph")
     index = {v: i for i, v in enumerate(g.vertices)}
-    adj = [[] for _ in range(g.n)]
-    for e in g.edges:
-        a, b = tuple(e)
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    values = np.full((g.n, g.n), UNREACHABLE)
-    for s in range(g.n):
-        values[s, s] = 0.0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if np.isinf(values[s, v]):
-                    values[s, v] = values[s, u] + 1
-                    q.append(v)
+    pairs = np.array([[index[v] for v in e] for e in g.edges], dtype=int).reshape(-1, 2)
+    src, dst = np.concatenate((pairs, pairs[:, ::-1])).T
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    deg = np.bincount(src, minlength=n)
+    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
+    nbr = np.full((n, deg.max(initial=0)), n)
+    nbr[src, slot] = dst
+    values = np.full((n, n), UNREACHABLE)
+    np.fill_diagonal(values, 0.0)
+    reached = np.eye(n, dtype=bool)
+    frontier = np.vstack((reached, np.zeros((1, n), dtype=bool)))
+    level = 0
+    while frontier.any():
+        level += 1
+        new = np.zeros((n, n), dtype=bool)
+        for column in nbr.T:
+            new |= frontier[column]
+        new &= ~reached
+        values[new] = level
+        reached |= new
+        frontier[:n] = new
     return DistanceMatrix(labels=g.vertices, values=values, kind="graph")
 
 

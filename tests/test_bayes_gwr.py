@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, multivariate_normal
 
-from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _kernel_state, _weighted_rss,
-                            block_stats, hpd_interval, posterior_summary, run_sampler,
-                            selected_model, weighted_blocks)
+from bgwr import bayes_gwr
+from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _kernel_state,
+                            _shell_state, _weighted_rss, block_stats, hpd_interval,
+                            posterior_summary, run_sampler, selected_model,
+                            weighted_blocks)
 from bgwr.freq_gwr import Dataset
-from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
-from bgwr.weighting import WeightScheme, kernel_weight
+from bgwr.spatial_graph import (DistanceMatrix, build_graph, euclidean_distances,
+                                graph_distances)
+from bgwr.weighting import WeightScheme, kernel_weight, log_kernel_weight
 from conftest import loglik_oracle, sampler_loglik
 
 
@@ -206,6 +209,61 @@ class TestLikelihoodCore:
         assert M.shape == ref.shape
         assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
         np.testing.assert_allclose(V, np.einsum("sl,li->si", K, h), rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
+    def test_shell_state_matches_dense(self, scheme):
+        _, _, locs, d, (G, h, q, counts), _ = self.setup_case(scheme)
+        dsub = d.submatrix(locs)
+        shells = _distance_shells(dsub, counts, G, h, q)
+        assert shells is not None  # hop counts 0-3 over 5 locations
+        got = _shell_state(scheme.kernel, shells, scheme.bandwidth)
+        ref = _kernel_state(scheme.kernel, dsub, scheme.bandwidth, counts, G, h, q)
+        assert got.keys() == ref.keys()
+        for field in ("npos", "sumlogw", "M", "V", "Kq", "Mdiag"):
+            assert got[field].shape == ref[field].shape, field
+            scale = np.abs(ref[field]).max()
+            assert np.abs(got[field] - ref[field]).max() <= 1e-12 * scale, field
+
+    def test_shell_state_keeps_underflowed_log_weights(self):
+        scheme = WeightScheme("exponential", 0.002)
+        _, _, locs, d, (G, h, q, counts), K = self.setup_case(scheme)
+        dsub = d.submatrix(locs)
+        logK = log_kernel_weight(scheme, dsub)
+        assert ((K == 0) & np.isfinite(logK)).any()  # d/b = 1000 > 745
+        state = _shell_state(scheme.kernel, _distance_shells(dsub, counts, G, h, q),
+                             scheme.bandwidth)
+        for s in range(len(locs)):
+            reach = np.isfinite(dsub[s])
+            assert state["npos"][s] == counts[reach].sum()
+            ref = sum(counts[l] * -dsub[s, l] / scheme.bandwidth for l in np.flatnonzero(reach))
+            assert state["sumlogw"][s] == pytest.approx(ref, rel=1e-12)
+
+    def test_euclidean_distances_take_dense_path(self):
+        rng = np.random.default_rng(32)
+        d = euclidean_distances(list("abcdef"), rng.normal(size=(6, 2)))
+        data = Dataset(y=rng.normal(size=12), X=rng.normal(size=(12, 2)),
+                       locations=tuple("abcdef" * 2))
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        assert _distance_shells(d.submatrix(locs), counts, G, h, q) is None
+
+    def test_sampler_same_chains_from_shells_and_dense(self, china_d, monkeypatch):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(150, 3))
+        y = X @ np.array([2.0, 0.0, 4.0]) + rng.normal(size=150)
+        data = Dataset(y=y, X=X, locations=tuple(s for s in china_d.labels for _ in range(5)))
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        assert _distance_shells(china_d.submatrix(locs), counts, G, h, q) is not None
+        cfg = BayesConfig(tau2=0.01, chain_length=600, burn_in=200, seed=8)
+        shell = run_sampler(data, china_d, "exponential", cfg)
+        monkeypatch.setattr(bayes_gwr, "_distance_shells", lambda *args: None)
+        dense = run_sampler(data, china_d, "exponential", cfg)
+        assert 0 < shell.acceptance_rate_b < 1
+        np.testing.assert_array_equal(shell.gamma, dense.gamma)
+        np.testing.assert_array_equal(shell.b, dense.b)
+        np.testing.assert_allclose(shell.beta.mean(axis=0), dense.beta.mean(axis=0),
+                                   rtol=0, atol=1e-10)
 
 
 class TestConjugateExactness:

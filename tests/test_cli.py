@@ -189,6 +189,20 @@ class TestCliCommands:
         assert "samples the bandwidth" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_simulate_rejects_bandwidth(self, tmp_path, capsys, source):
+        out = tmp_path / "sim"
+        args = ["simulate", "--design", "constant", "--setting", "1",
+                "--replicates", "1", "--chain", "60", "--burnin", "20", "--out", str(out)]
+        if source == "flag":
+            args += ["--bandwidth", "3.0"]
+        else:
+            write_lines(tmp_path / "c.txt", ["bandwidth = 3.0"])
+            args += ["--config", str(tmp_path / "c.txt")]
+        assert main(args) == 1
+        assert "--bandwidth does not apply to simulate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path, china):
         data = synthetic_dataset_file(tmp_path / "d.csv", china)
         args = ["fit", "--data", str(data), "--kernel", "exponential",
@@ -284,7 +298,9 @@ class TestCliCommands:
                             b=np.array([0.5, -1e-20, 3.0, 1.2345678901234567e22]),
                             acceptance_rate_b=0.5, kernel="exponential",
                             dsub=np.zeros((L, L)), config=BayesConfig())
-        fmt = dataio.fmt
+        def fmt(v):
+            return format(v, ".17g")  # -inf keeps its sign
+
         lines = ["draw,location,b,sigma2,beta_1,beta_2,gamma_1,gamma_2"]
         for t in range(T):
             for k, s in enumerate(post.locations):
@@ -295,6 +311,22 @@ class TestCliCommands:
         path = tmp_path / "chains.csv"
         dataio.write_chains(path, post)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert lines[1 + 3 * L + 2].split(",")[4] == "-inf"
+
+    def test_chain_dump_round_trip_keeps_infinities(self, tmp_path):
+        T, L, p = 2, 2, 2
+        beta = np.zeros((T, L, p))
+        beta[0, 1, 0], beta[1, 0, 1] = -np.inf, np.inf
+        post = GwrPosterior(locations=("a", "b"), beta=beta, sigma2=np.ones((T, L)),
+                            gamma=np.ones((T, p), dtype=int), b=np.array([1.0, 2.0]),
+                            acceptance_rate_b=0.5, kernel="exponential",
+                            dsub=np.zeros((L, L)), config=BayesConfig())
+        path = tmp_path / "chains.csv"
+        dataio.write_chains(path, post)
+        d = DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), "graph")
+        back = dataio.read_chains(path, "exponential", d)
+        np.testing.assert_array_equal(back.beta, beta)
+        assert [dataio.fmt(v) for v in (-np.inf, np.inf, -0.5)] == ["-inf", "inf", "-0.5"]
 
     def test_assess_rejects_truncated_chains(self, tmp_path, china, capsys):
         data_path = synthetic_dataset_file(tmp_path / "d.csv", china)

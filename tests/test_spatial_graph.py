@@ -53,6 +53,23 @@ class TestGraphDistances:
             d = graph_distances(g)
             np.testing.assert_array_equal(d.values, floyd_warshall(g))
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless_graph(self, n):
+        g = build_graph([f"v{i}" for i in range(n)], [])
+        d = graph_distances(g)
+        np.testing.assert_array_equal(d.values, floyd_warshall(g))
+        assert np.isinf(d.values[~np.eye(n, dtype=bool)]).all()
+
+    def test_lattice_matches_floyd_warshall(self):
+        w = 12
+        ids = [f"r{i}c{j}" for i in range(w) for j in range(w)]
+        edges = ([(ids[i * w + j], ids[i * w + j + 1]) for i in range(w) for j in range(w - 1)]
+                 + [(ids[i * w + j], ids[(i + 1) * w + j]) for i in range(w - 1) for j in range(w)])
+        g = build_graph(ids, edges)
+        d = graph_distances(g)
+        np.testing.assert_array_equal(d.values, floyd_warshall(g))
+        assert d.values.max() == 2 * (w - 1)
+
     def test_symmetric_zero_diagonal_triangle(self, china_d):
         v = china_d.values
         np.testing.assert_array_equal(v, v.T)
