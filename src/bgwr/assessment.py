@@ -10,6 +10,8 @@ is not a likelihood of the data, and is not used for the DIC.
 
 All density accumulation runs in the log domain; the harmonic-mean CPO
 estimator uses log-sum-exp so small per-draw densities cannot underflow.
+dic and cpo_lpml walk the chain in blocks of draws and fold each block into
+running sums, so their memory is bounded by one block, not by the chain.
 """
 
 import math
@@ -18,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes_gwr import block_stats
+
+# draws x observations per block of the chain that dic and cpo_lpml hold at
+# once, so their memory does not grow with the chain length
+DRAW_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -28,6 +34,7 @@ class ModelAssessment:
     deviance_at_mean: float = None
     lpml: float = None
     cpo: np.ndarray = None
+    log_cpo: np.ndarray = None
 
 
 def _obs_deviance(beta, sigma2, G, h, q, counts):
@@ -42,6 +49,14 @@ def _obs_deviance(beta, sigma2, G, h, q, counts):
     return (counts * np.log(2 * math.pi * sigma2) + rss / sigma2).sum(axis=-1)
 
 
+def _draw_blocks(n_draws, n):
+    """Slices [t0, t1) covering the chain, each of at most
+    max(1, DRAW_BLOCK // n) draws for ``n`` observations."""
+    step = max(1, DRAW_BLOCK // n)
+    for t0 in range(0, n_draws, step):
+        yield slice(t0, min(t0 + step, n_draws))
+
+
 def dic(post, data):
     """DIC = D(plug-in) + 2 p_D, with p_D = mean D - D(plug-in).
 
@@ -52,16 +67,23 @@ def dic(post, data):
     does not enter D.  Both algebraic forms of the DIC are computed and must
     agree.
     """
-    if post.n_draws == 0:
+    T = post.n_draws
+    if T == 0:
         raise ValueError("empty chain")
     G, h, q, counts = block_stats(data, post.locations)
     if counts.sum() != data.n:
         raise ValueError("data has observations at locations without draws")
-    dev = _obs_deviance(post.beta, post.sigma2, G, h, q, counts)
-    dev_at_mean = float(_obs_deviance(post.beta.mean(axis=0),
-                                      np.exp(np.log(post.sigma2).mean(axis=0)),
+    dev_sum = 0.0
+    beta_sum = np.zeros(post.beta.shape[1:])
+    log_s2_sum = np.zeros(post.sigma2.shape[1:])
+    for blk in _draw_blocks(T, data.n):
+        beta, sigma2 = post.beta[blk], post.sigma2[blk]
+        dev_sum += float(_obs_deviance(beta, sigma2, G, h, q, counts).sum())
+        beta_sum += beta.sum(axis=0)
+        log_s2_sum += np.log(sigma2).sum(axis=0)
+    dev_at_mean = float(_obs_deviance(beta_sum / T, np.exp(log_s2_sum / T),
                                       G, h, q, counts))
-    mean_dev = float(dev.mean())
+    mean_dev = dev_sum / T
     p_d = mean_dev - dev_at_mean
     dic_1 = dev_at_mean + 2.0 * p_d
     dic_2 = 2.0 * mean_dev - dev_at_mean
@@ -77,19 +99,29 @@ def cpo_lpml(post, data):
     The per-draw density of observation i is the univariate normal at its
     own location's parameters (self-weight 1):
     CPO_i^-1 = (1/T) sum_t 1/f(y_i | x_i, beta_t(l_i), sigma2_t(l_i)).
+    log CPO_i = log T - logsumexp_t(-log f_ti), with the log-sum-exp kept
+    as a running maximum m_i and scaled sum s_i over blocks of draws.
     """
-    if post.n_draws == 0:
+    T = post.n_draws
+    if T == 0:
         raise ValueError("empty chain")
     loc_index = {s: k for k, s in enumerate(post.locations)}
-    idx = np.array([loc_index[s] for s in data.locations])
-    mu = np.einsum("tnp,np->tn", post.beta[:, idx, :], data.X)
-    s2 = post.sigma2[:, idx]
-    logf = -0.5 * (np.log(2 * math.pi * s2) + (data.y[None, :] - mu) ** 2 / s2)
-    # log CPO_i = log T - logsumexp_t(-log f_ti)
-    neg = -logf
-    m = neg.max(axis=0)
-    log_cpo = math.log(post.n_draws) - (m + np.log(np.exp(neg - m).sum(axis=0)))
-    return ModelAssessment(lpml=float(log_cpo.sum()), cpo=np.exp(log_cpo))
+    try:
+        idx = np.array([loc_index[s] for s in data.locations])
+    except KeyError:
+        raise ValueError("data has observations at locations without draws") from None
+    m = np.full(data.n, -np.inf)
+    s = np.zeros(data.n)
+    for blk in _draw_blocks(T, data.n):
+        mu = np.einsum("tnp,np->tn", post.beta[blk, idx], data.X)
+        s2 = post.sigma2[blk, idx]
+        neg_logf = 0.5 * (np.log(2 * math.pi * s2) + (data.y - mu) ** 2 / s2)
+        m_new = np.maximum(m, neg_logf.max(axis=0))
+        s = s * np.exp(m - m_new) + np.exp(neg_logf - m_new).sum(axis=0)
+        m = m_new
+    log_cpo = math.log(T) - (m + np.log(s))
+    return ModelAssessment(lpml=float(log_cpo.sum()), cpo=np.exp(log_cpo),
+                           log_cpo=log_cpo)
 
 
 def assess(post, data):
@@ -98,4 +130,5 @@ def assess(post, data):
     b = cpo_lpml(post, data)
     a.lpml = b.lpml
     a.cpo = b.cpo
+    a.log_cpo = b.log_cpo
     return a

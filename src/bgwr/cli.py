@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import dataio
 from .assessment import assess
 from .bayes_gwr import BayesConfig, posterior_summary, run_sampler
@@ -202,8 +200,8 @@ def cmd_assess(args, rc):
             "deviance_at_mean": a.deviance_at_mean})
         with open(out.path("cpo.csv"), "w") as fh:
             fh.write("observation,cpo,log_cpo\n")
-            for i, c in enumerate(a.cpo):
-                fh.write(f"{i},{dataio.fmt(float(c))},{dataio.fmt(float(np.log(c)))}\n")
+            for i, (c, lc) in enumerate(zip(a.cpo, a.log_cpo)):
+                fh.write(f"{i},{dataio.fmt(float(c))},{dataio.fmt(float(lc))}\n")
         _manifest(out, rc, {"command": "assess", "chains": args.chains,
                             "data": args.data})
     except Exception:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bgwr.assessment import _obs_deviance
 from bgwr.bayes_gwr import _kernel_state, _total_loglik, _weighted_rss, block_stats
 from bgwr.dataio import china_graph
 from bgwr.spatial_graph import build_graph, graph_distances
@@ -92,3 +93,27 @@ def loglik_oracle(data, log_w, beta, sigma2):
                 total += -0.5 * (math.log(2 * math.pi * sigma2[s]) - lw
                                  + math.exp(lw) * r * r / sigma2[s])
     return total
+
+
+def log_cpo_oracle(post, data):
+    """One-shot log CPO: gathers every draw's parameters for every
+    observation, a (T, n, p) array, and takes one log-sum-exp over draws."""
+    loc_index = {s: k for k, s in enumerate(post.locations)}
+    idx = np.array([loc_index[s] for s in data.locations])
+    mu = np.einsum("tnp,np->tn", post.beta[:, idx, :], data.X)
+    s2 = post.sigma2[:, idx]
+    neg = 0.5 * (np.log(2 * math.pi * s2) + (data.y[None, :] - mu) ** 2 / s2)
+    m = neg.max(axis=0)
+    return math.log(post.n_draws) - (m + np.log(np.exp(neg - m).sum(axis=0)))
+
+
+def dic_oracle(post, data):
+    """One-shot (dic, p_d, mean_deviance, deviance_at_mean): the deviance of
+    every draw at once, plug-in at the mean of beta and exp(E[log sigma2])."""
+    G, h, q, counts = block_stats(data, post.locations)
+    mean_dev = float(_obs_deviance(post.beta, post.sigma2, G, h, q, counts).mean())
+    dev_at_mean = float(_obs_deviance(post.beta.mean(axis=0),
+                                      np.exp(np.log(post.sigma2).mean(axis=0)),
+                                      G, h, q, counts))
+    p_d = mean_dev - dev_at_mean
+    return dev_at_mean + 2.0 * p_d, p_d, mean_dev, dev_at_mean

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from bgwr import assessment
 from bgwr.assessment import assess, cpo_lpml, dic
 from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
 from bgwr.freq_gwr import Dataset
-from bgwr.spatial_graph import DistanceMatrix
-from conftest import loglik_oracle, sampler_loglik
+from bgwr.simulation import (BASE_BETAS, SimulationDesign, generate_dataset,
+                             replicate_seed, true_beta)
+from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from conftest import dic_oracle, log_cpo_oracle, loglik_oracle, sampler_loglik
 
 
 def two_location_setup(rng, n_per=6, p=2):
@@ -212,6 +216,15 @@ class TestCpoLpml:
         naive = 1.0 / (1.0 / dens).mean(axis=0)
         np.testing.assert_allclose(a.cpo, naive, rtol=1e-8)
 
+    def test_unknown_location_rejected(self):
+        rng = np.random.default_rng(14)
+        data, d = two_location_setup(rng)
+        post = constant_posterior(data, d, "unity", 1.0,
+                                  np.zeros((2, 2)), np.ones(2))
+        post.locations = ("a", "c")
+        with pytest.raises(ValueError, match="locations without draws"):
+            cpo_lpml(post, data)
+
     def test_lpml_invariant_under_permutation(self):
         rng = np.random.default_rng(10)
         data, d = two_location_setup(rng)
@@ -235,3 +248,105 @@ def test_assess_combines_both():
     assert a.dic is not None and a.lpml is not None
     assert np.all(a.cpo > 0)
     assert a.lpml == pytest.approx(float(np.log(a.cpo).sum()))
+
+
+def simulated_chain(d, chain_length, burn_in, seed=5):
+    """A criterion-6 style constant-pattern dataset on ``d``'s locations and
+    the exponential-kernel chain sampled from it."""
+    design = SimulationDesign(pattern="constant", base_beta=BASE_BETAS[1],
+                              replicates=1, seed=seed)
+    locs = tuple(d.labels)
+    data = generate_dataset(design, locs, true_beta(design, locs),
+                            replicate_seed(seed, 0, 0))
+    cfg = BayesConfig(tau2=0.01, c2=1e4, chain_length=chain_length,
+                      burn_in=burn_in, seed=replicate_seed(seed, 0, 1))
+    return run_sampler(data, d, "exponential", cfg), data
+
+
+@pytest.fixture(scope="module")
+def china_chain(china_d):
+    # T = 3000 draws of n = 150 rows: several blocks and a partial last one
+    return simulated_chain(china_d, 4000, 1000)
+
+
+@pytest.fixture(scope="module")
+def lattice_chain():
+    k = 16
+    labels = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    edges = ([(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(k - 1)]
+             + [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(k)])
+    return simulated_chain(graph_distances(build_graph(labels, edges)), 250, 40)
+
+
+class TestDrawBlocks:
+    """dic and cpo_lpml walk the chain in blocks of draws; both must equal
+    the one-shot formulas over the whole chain in tests/conftest.py."""
+
+    @staticmethod
+    def assert_matches_oracles(post, data):
+        a = assess(post, data)
+        ref = log_cpo_oracle(post, data)
+        np.testing.assert_allclose(a.log_cpo, ref, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(a.cpo, np.exp(a.log_cpo))
+        assert a.lpml == float(a.log_cpo.sum())
+        dic_, p_d, mean_dev, dev_at_mean = dic_oracle(post, data)
+        for got, want in ((a.dic, dic_), (a.mean_deviance, mean_dev),
+                          (a.deviance_at_mean, dev_at_mean)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(a.p_d - p_d) <= 1e-12 * abs(mean_dev)
+
+    def test_blocks_cover_the_chain(self, monkeypatch):
+        for draw_block, n_draws, n, step in ((2 ** 15, 3000, 150, 218),
+                                             (7, 5, 12, 1), (100, 9, 12, 8)):
+            monkeypatch.setattr(assessment, "DRAW_BLOCK", draw_block)
+            blocks = list(assessment._draw_blocks(n_draws, n))
+            assert blocks[0].start == 0 and blocks[-1].stop == n_draws
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            assert sizes[:-1] == [step] * (len(blocks) - 1) and 0 < sizes[-1] <= step
+
+    @pytest.mark.parametrize("draw_block", [None, 1, 1000])
+    def test_china_chain(self, china_chain, monkeypatch, draw_block):
+        post, data = china_chain
+        assert post.n_draws == 3000 and data.n == 150
+        if draw_block is not None:
+            monkeypatch.setattr(assessment, "DRAW_BLOCK", draw_block)
+        self.assert_matches_oracles(post, data)
+
+    @pytest.mark.parametrize("draw_block", [None, 1])
+    def test_lattice_chain(self, lattice_chain, monkeypatch, draw_block):
+        post, data = lattice_chain
+        assert post.n_draws > assessment.DRAW_BLOCK // data.n
+        if draw_block is not None:
+            monkeypatch.setattr(assessment, "DRAW_BLOCK", draw_block)
+        self.assert_matches_oracles(post, data)
+
+    def test_chain_in_one_block(self):
+        rng = np.random.default_rng(15)
+        data, d = two_location_setup(rng)
+        cfg = BayesConfig(tau2=0.01, chain_length=300, burn_in=50, seed=6,
+                          bandwidth_upper=10.0)
+        post = run_sampler(data, d, "exponential", cfg)
+        assert post.n_draws * data.n <= assessment.DRAW_BLOCK
+        self.assert_matches_oracles(post, data)
+
+    def test_assess_memory_bounded_by_a_block(self):
+        # a (T, n, .) array of this chain is ten times the beta chain itself
+        rng = np.random.default_rng(16)
+        L, rows, p, T = 64, 10, 5, 2000
+        locs = tuple(f"s{k}" for k in range(L))
+        data = Dataset(y=rng.normal(size=L * rows), X=rng.normal(size=(L * rows, p)),
+                       locations=tuple(s for s in locs for _ in range(rows)))
+        post = GwrPosterior(locations=locs, beta=rng.normal(size=(T, L, p)),
+                            sigma2=rng.gamma(2.0, size=(T, L)),
+                            gamma=np.ones((T, p), dtype=int), b=np.ones(T),
+                            acceptance_rate_b=0.0, kernel="unity",
+                            dsub=np.zeros((L, L)), config=BayesConfig())
+        tracemalloc.start()
+        try:
+            a = assess(post, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(a.lpml) and np.isfinite(a.dic)
+        assert peak < post.beta.nbytes

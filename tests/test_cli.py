@@ -272,6 +272,30 @@ class TestCliCommands:
         assert float(written["dic"]) == pytest.approx(ref.dic, rel=1e-12)
         assert float(written["lpml"]) == pytest.approx(ref.lpml, rel=1e-12)
 
+    def test_assess_keeps_log_cpo_of_a_far_observation(self, tmp_path, china):
+        # y = 1000 under N(0, 1) draws: log CPO is about -5e5, far below the
+        # -745 at which CPO itself underflows to 0
+        data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
+        lines = data_path.read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join([cells[0], "1000.0"] + cells[2:])
+        write_lines(data_path, lines)
+        T, L, p = 3, china.n, 3
+        post = GwrPosterior(locations=tuple(china.vertices), beta=np.zeros((T, L, p)),
+                            sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
+                            b=np.ones(T), acceptance_rate_b=0.0, kernel="exponential",
+                            dsub=np.zeros((L, L)), config=BayesConfig())
+        chains = tmp_path / "chains.csv"
+        dataio.write_chains(chains, post)
+        aout = tmp_path / "assess"
+        assert main(["assess", "--data", str(data_path), "--chains", str(chains),
+                     "--kernel", "exponential", "--out", str(aout)]) == 0
+        cpo = np.loadtxt(aout / "cpo.csv", delimiter=",", skiprows=1)
+        lpml = float(dataio.load_config(aout / "assessment.csv")["lpml"])
+        assert np.all(np.isfinite(cpo[:, 2]))
+        assert cpo[0, 1] == 0.0 and cpo[0, 2] < -4e5
+        assert cpo[:, 2].sum() == pytest.approx(lpml, rel=1e-12)
+
     def test_chain_dump_round_trip(self, tmp_path, china, china_d):
         data = dataio.parse_dataset(synthetic_dataset_file(tmp_path / "d.csv", china))
         cfg = BayesConfig(chain_length=200, burn_in=50, seed=9)
