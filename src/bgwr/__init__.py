@@ -6,7 +6,8 @@ from .spatial_graph import (UNREACHABLE, DistanceMatrix, MdsEmbedding, SpatialGr
                             build_graph, euclidean_distances, graph_distances,
                             mds_embed)
 from .weighting import WeightMatrix, WeightScheme, kernel_weight, weight_matrix
-from .freq_gwr import (Dataset, FreqFit, SingularSystemError, effective_params_freq,
+from .suffstats import Dataset
+from .freq_gwr import (FreqFit, SingularSystemError, effective_params_freq,
                        fit_all_locations, select_bandwidth_grid, wls_fit)
 from .bayes_gwr import (BayesConfig, GwrPosterior, PosteriorSummary, hpd_interval,
                         posterior_summary, run_sampler, selected_model)

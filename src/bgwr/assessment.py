@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_gwr import block_stats
+from .suffstats import block_stats, location_index, rss
 
 # draws x observations per block of the chain that dic and cpo_lpml hold at
 # once, so their memory does not grow with the chain length
@@ -44,9 +44,7 @@ def _obs_deviance(beta, sigma2, G, h, q, counts):
     kept.  Location l contributes n_l log(2 pi sigma2_l) + RSS_l / sigma2_l with
     RSS_l = q_l - 2 beta_l . h_l + beta_l' G_l beta_l.
     """
-    rss = (q - 2.0 * np.einsum("...lp,lp->...l", beta, h)
-           + np.einsum("...lp,lpq,...lq->...l", beta, G, beta))
-    return (counts * np.log(2 * math.pi * sigma2) + rss / sigma2).sum(axis=-1)
+    return (counts * np.log(2 * math.pi * sigma2) + rss(beta, G, h, q) / sigma2).sum(axis=-1)
 
 
 def _draw_blocks(n_draws, n):
@@ -105,11 +103,9 @@ def cpo_lpml(post, data):
     T = post.n_draws
     if T == 0:
         raise ValueError("empty chain")
-    loc_index = {s: k for k, s in enumerate(post.locations)}
-    try:
-        idx = np.array([loc_index[s] for s in data.locations])
-    except KeyError:
-        raise ValueError("data has observations at locations without draws") from None
+    idx = location_index(data.locations, post.locations)
+    if (idx == len(post.locations)).any():
+        raise ValueError("data has observations at locations without draws")
     m = np.full(data.n, -np.inf)
     s = np.zeros(data.n)
     for blk in _draw_blocks(T, data.n):

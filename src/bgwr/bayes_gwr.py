@@ -24,10 +24,11 @@ runs over positive-weight rows only.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .suffstats import block_stats, rss, weighted_blocks
 from .weighting import WeightScheme, log_kernel_weight
 
 MH_TARGET_ACCEPT = 0.3
@@ -80,7 +81,7 @@ class BayesConfig:
 
 @dataclass
 class GwrPosterior:
-    """Post-burn-in chains plus the geometry needed to re-evaluate them."""
+    """Post-burn-in draws, with locations in the order of their axis."""
 
     locations: tuple
     beta: np.ndarray      # (T, L, p)
@@ -88,9 +89,6 @@ class GwrPosterior:
     gamma: np.ndarray     # (T, p) of 0/1
     b: np.ndarray         # (T,)
     acceptance_rate_b: float
-    kernel: str
-    dsub: np.ndarray      # (L, L) distances between data locations
-    config: BayesConfig
 
     @property
     def n_draws(self):
@@ -107,40 +105,6 @@ class PosteriorSummary:
     inclusion_freq: np.ndarray  # (p,)
     selected: tuple           # 1-based covariate indices
     b_mean: float
-
-
-def block_stats(data, locations):
-    """Per-location sufficient statistics of the design.
-
-    Returns (G, h, q, counts): Gram blocks X_l'X_l, cross products X_l'y_l,
-    squared norms y_l'y_l, and observation counts, in ``locations`` order.
-    """
-    p = data.p
-    L = len(locations)
-    G = np.zeros((L, p, p))
-    h = np.zeros((L, p))
-    q = np.zeros(L)
-    # group the rows by location once (rows elsewhere go to group L, which
-    # is dropped), keeping each location's rows in data order
-    index = {s: k for k, s in enumerate(locations)}
-    group = np.array([index.get(s, L) for s in data.locations])
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(L + 1))
-    for k in range(L):
-        rows = order[bounds[k]:bounds[k + 1]]
-        Xs, ys = data.X[rows], data.y[rows]
-        G[k] = Xs.T @ Xs
-        h[k] = Xs.T @ ys
-        q[k] = ys @ ys
-    return G, h, q, np.diff(bounds).astype(float)
-
-
-def weighted_blocks(K, G, h):
-    """X'W(s)X = sum_l K[s, l] G_l and X'W(s)y = sum_l K[s, l] h_l at every
-    location s, from (L, L) weights K and the Gram blocks and cross products
-    of ``block_stats``; the sampler and the frequentist fit share it."""
-    L, p, _ = G.shape
-    return (K @ G.reshape(L, p * p)).reshape(-1, p, p), K @ h
 
 
 def _kernel_state(kernel, dsub, b, counts, G, h, q):
@@ -202,8 +166,7 @@ def _weighted_rss(state, beta):
     """Q_s = sum_l K[s, l] (q_l - 2 beta_s . h_l + beta_s' G_l beta_s), the
     kernel-weighted residual sum of squares at every location, in O(L p^2)
     from the kernel state: Q_s = Kq_s - 2 beta_s . V_s + beta_s' M_s beta_s."""
-    Mbeta = (state["M"] @ beta[:, :, None])[:, :, 0]
-    return state["Kq"] + np.einsum("sp,sp->s", beta, Mbeta - 2.0 * state["V"])
+    return rss(beta, state["M"], state["V"], state["Kq"])
 
 
 def _total_loglik(state, Q, sigma2):
@@ -221,12 +184,9 @@ def _fold(x, upper):
 def run_sampler(data, d, kernel, cfg):
     """Run the MCMC chain and return post-burn-in draws.
 
-    ``kernel`` is a kernel name (or WeightScheme, whose bandwidth is
-    ignored -- the bandwidth is sampled).  Bit-identical output for
-    identical (data, d, kernel, cfg).
+    ``kernel`` is a kernel name; the bandwidth is sampled.  Bit-identical
+    output for identical (data, d, kernel, cfg).
     """
-    if isinstance(kernel, WeightScheme):
-        kernel = kernel.kernel
     if data.n == 0:
         raise ValueError("empty dataset")
     locs = data.unique_locations()
@@ -367,8 +327,7 @@ def run_sampler(data, d, kernel, cfg):
 
     acc = accepted_post / n_keep if cfg.fix_bandwidth is None else 0.0
     return GwrPosterior(locations=locs, beta=beta_out, sigma2=sigma2_out,
-                        gamma=gamma_out, b=b_out, acceptance_rate_b=acc,
-                        kernel=kernel, dsub=dsub, config=cfg)
+                        gamma=gamma_out, b=b_out, acceptance_rate_b=acc)
 
 
 def hpd_interval(samples, mass=0.95):

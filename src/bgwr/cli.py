@@ -187,10 +187,12 @@ def cmd_simulate(args, rc):
 
 def cmd_assess(args, rc):
     graph = _load_graph(args)
-    d = graph_distances(graph)
     data = dataio.parse_dataset(args.data, standardize=rc["standardize"],
                                 log_response=rc["log_response"])
-    post = dataio.read_chains(args.chains, rc["kernel"], d)
+    post = dataio.read_chains(args.chains)
+    unknown = set(post.locations) - set(graph.vertices)
+    if unknown:
+        raise ValueError(f"chain locations not in the graph: {sorted(unknown)}")
     out = _OutputTracker(args.out)
     try:
         a = assess(post, data)

@@ -16,8 +16,9 @@ import importlib.resources
 
 import numpy as np
 
-from .freq_gwr import Dataset
+from .bayes_gwr import GwrPosterior
 from .spatial_graph import build_graph
+from .suffstats import Dataset, location_index
 
 FLOAT_FMT = ".17g"
 
@@ -177,16 +178,13 @@ def write_chains(path, post):
                               zip(post.locations, values.tolist())]))
 
 
-def read_chains(path, kernel, d):
+def read_chains(path):
     """Rebuild a GwrPosterior from a chain dump.
 
-    The kernel name and distance matrix are not stored in the dump and must
-    be supplied to make the posterior assessable.  A dump that lacks a
+    Locations take the order of their first rows.  A dump that lacks a
     (draw, location) row or repeats one, or whose rows for one draw disagree
     on b or gamma, is rejected with ValueError.
     """
-    from .bayes_gwr import BayesConfig, GwrPosterior
-
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not any(line.strip() for line in fh):
@@ -198,8 +196,7 @@ def read_chains(path, kernel, d):
     names = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
                        usecols=1, dtype=str).tolist()
     locations = tuple(dict.fromkeys(names))
-    loc_index = {s: k for k, s in enumerate(locations)}
-    k = np.array([loc_index[s] for s in names])
+    k = location_index(names, locations)
     t = num[:, 0].astype(int)
     if (t != num[:, 0]).any() or t.min() < 0:
         raise ValueError(f"{path}: draw index that is not a nonnegative integer")
@@ -218,10 +215,8 @@ def read_chains(path, kernel, d):
     gamma[t] = num[:, 3 + p:]
     if (b[t] != num[:, 1]).any() or (gamma[t] != num[:, 3 + p:]).any():
         raise ValueError(f"{path}: rows of one draw disagree on b or gamma")
-    cfg = BayesConfig(chain_length=T + 1, burn_in=1)
     return GwrPosterior(locations=locations, beta=beta, sigma2=sigma2,
-                        gamma=gamma, b=b, acceptance_rate_b=float("nan"),
-                        kernel=kernel, dsub=d.submatrix(locations), config=cfg)
+                        gamma=gamma, b=b, acceptance_rate_b=float("nan"))
 
 
 def write_coefficients(path, fit):

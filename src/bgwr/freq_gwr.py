@@ -2,10 +2,10 @@
 SSE-grid bandwidth selection, and the effective number of parameters.
 
 Every location is fitted at once from the block statistics the sampler also
-uses (``bayes_gwr.block_stats``).  With K[s, l] the kernel weight between
+uses (``suffstats.block_stats``).  With K[s, l] the kernel weight between
 locations s and l, the normal equations at s read
-(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l; the sampler's
-``bayes_gwr.weighted_blocks`` forms them for all s and one batched
+(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l;
+``suffstats.weighted_blocks`` forms them for all s and one batched
 ``np.linalg.solve`` solves them.  A zero weight (kernel cutoff, unreachable
 pair, exp underflow) drops location l's rows from the system at s, exactly as
 a dropped row of the weighted design would.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_gwr import block_stats, weighted_blocks
+from .suffstats import block_stats, location_index, weighted_blocks
 from .weighting import WeightScheme, kernel_weight
 # unused here; kept as a module attribute for the benchmark's tracer bindings
 from .weighting import weight_matrix  # noqa: F401
@@ -39,52 +39,12 @@ RCOND_MIN = 1e-12
 
 
 @dataclass
-class Dataset:
-    """Response vector, covariate matrix, and the areal unit of each row."""
-
-    y: np.ndarray
-    X: np.ndarray
-    locations: tuple
-    intercept_included: bool = False
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.X = np.asarray(self.X, dtype=float)
-        self.locations = tuple(self.locations)
-        if self.X.ndim != 2:
-            raise ValueError("X must be two-dimensional")
-        n, p = self.X.shape
-        if self.y.shape != (n,) or len(self.locations) != n:
-            raise ValueError("y, X, and locations must agree in length")
-        if n == 0:
-            raise ValueError("empty dataset")
-        if n < p:
-            raise ValueError("need at least as many observations as covariates")
-        if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
-            raise ValueError("non-finite entry in dataset")
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def p(self):
-        return self.X.shape[1]
-
-    def unique_locations(self):
-        """Distinct location ids in order of first appearance."""
-        seen = dict.fromkeys(self.locations)
-        return tuple(seen)
-
-
-@dataclass
 class FreqFit:
     """Per-location WLS coefficients with bookkeeping."""
 
     locations: tuple
     beta_hat: np.ndarray  # (L, p)
     sse: float
-    scheme: object
     effective_params: float
 
 
@@ -109,9 +69,7 @@ def _prepare(data, d):
     """The bandwidth-free part of a fit: location order, each row's location
     index, block statistics and the location-by-location distances."""
     locs = data.unique_locations()
-    index = {s: k for k, s in enumerate(locs)}
-    own = np.array([index[s] for s in data.locations])
-    return locs, own, block_stats(data, locs), d.submatrix(locs)
+    return locs, location_index(data.locations, locs), block_stats(data, locs), d.submatrix(locs)
 
 
 def _fit(data, scheme, prepared):
@@ -154,8 +112,7 @@ def fit_all_locations(data, scheme, d):
     """
     prepared = _prepare(data, d)
     beta, sse, trace = _fit(data, scheme, prepared)
-    return FreqFit(locations=prepared[0], beta_hat=beta, sse=sse, scheme=scheme,
-                   effective_params=trace)
+    return FreqFit(locations=prepared[0], beta_hat=beta, sse=sse, effective_params=trace)
 
 
 def effective_params_freq(data, scheme, d):
@@ -170,18 +127,15 @@ def effective_params_freq(data, scheme, d):
 def select_bandwidth_grid(data, kernel, d, grid):
     """Pick the bandwidth minimizing total SSE over a grid.
 
-    ``kernel`` is a kernel name or a WeightScheme, whose bandwidth is
-    ignored.  Returns (best bandwidth, list of (bandwidth, sse) rows).  Grid
-    points where some location is singular get SSE NaN; ties break toward
-    the smaller bandwidth.
+    ``kernel`` is a kernel name.  Returns (best bandwidth, list of
+    (bandwidth, sse) rows).  Grid points where some location is singular
+    get SSE NaN; ties break toward the smaller bandwidth.
     """
     grid = sorted(float(b) for b in grid)
     if not grid:
         raise ValueError("empty bandwidth grid")
     if any(b <= 0 for b in grid):
         raise ValueError("bandwidths must be positive")
-    if isinstance(kernel, WeightScheme):
-        kernel = kernel.kernel
     prepared = _prepare(data, d)
     table = []
     for b in grid:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bayes_gwr import posterior_summary, run_sampler
-from .freq_gwr import Dataset, fit_all_locations, select_bandwidth_grid, default_bandwidth_grid
+from .freq_gwr import fit_all_locations, select_bandwidth_grid, default_bandwidth_grid
 from .spatial_graph import mds_embed
+from .suffstats import Dataset
 from .weighting import WeightScheme
 from . import assessment
 
@@ -175,14 +176,12 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
               freq_grid=None):
     """Generate -> fit -> summarize -> score over all replicates.
 
-    ``kernel`` is a kernel name or a WeightScheme, whose bandwidth is ignored.
-    Replicate r draws its data from substream (seed, r, 0) and its chain from
-    (seed, r, 1), so the study is deterministic given the master seed.
+    ``kernel`` is a kernel name.  Replicate r draws its data from substream
+    (seed, r, 0) and its chain from (seed, r, 1), so the study is
+    deterministic given the master seed.
     Failed replicates are recorded in the report's ``errors`` list, never
     silently dropped.
     """
-    if isinstance(kernel, WeightScheme):
-        kernel = kernel.kernel
     locations = tuple(d.labels)
     embedding = mds_embed(d) if design.pattern == "mds_linear" else None
     truth = true_beta(design, locations, embedding)

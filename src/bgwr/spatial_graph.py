@@ -36,15 +36,11 @@ class SpatialGraph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric all-pairs distance with labeled rows/columns.
-
-    ``kind`` is ``"graph"`` (hop counts, possibly UNREACHABLE) or
-    ``"euclidean"``.
-    """
+    """Symmetric all-pairs distance with labeled rows/columns; graph hop
+    counts may be UNREACHABLE."""
 
     labels: tuple
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -74,7 +70,7 @@ class DistanceMatrix:
                 fh.write(lab + "," + ",".join(cells) + "\n")
 
     @classmethod
-    def from_csv(cls, path, kind="graph"):
+    def from_csv(cls, path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")[1:]
             rows = []
@@ -84,7 +80,7 @@ class DistanceMatrix:
                     continue
                 cells = line.split(",")
                 rows.append([np.inf if c == "inf" else float(c) for c in cells[1:]])
-        return cls(labels=tuple(header), values=np.array(rows), kind=kind)
+        return cls(labels=tuple(header), values=np.array(rows))
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def graph_distances(g):
         values[new] = level
         reached |= new
         frontier[:n] = new
-    return DistanceMatrix(labels=g.vertices, values=values, kind="graph")
+    return DistanceMatrix(labels=g.vertices, values=values)
 
 
 def euclidean_distances(labels, coords):
@@ -166,7 +162,7 @@ def euclidean_distances(labels, coords):
         raise ValueError("non-finite coordinate")
     diff = coords[:, None, :] - coords[None, :, :]
     values = np.sqrt((diff ** 2).sum(axis=2))
-    return DistanceMatrix(labels=tuple(labels), values=values, kind="euclidean")
+    return DistanceMatrix(labels=tuple(labels), values=values)
 
 
 def mds_embed(d):

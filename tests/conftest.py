@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bgwr.assessment import _obs_deviance
-from bgwr.bayes_gwr import _kernel_state, _total_loglik, _weighted_rss, block_stats
+from bgwr.bayes_gwr import _kernel_state, _total_loglik, _weighted_rss
 from bgwr.dataio import china_graph
 from bgwr.spatial_graph import build_graph, graph_distances
+from bgwr.suffstats import block_stats
 
 
 # one "criterion N: PASS/FAIL - ..." line per acceptance check, echoed in

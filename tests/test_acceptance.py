@@ -16,11 +16,12 @@ from scipy.stats import kstest
 from bgwr.assessment import assess
 from bgwr.bayes_gwr import BayesConfig, hpd_interval, run_sampler
 from bgwr.dataio import china_graph, china_regions
-from bgwr.freq_gwr import Dataset, effective_params_freq, wls_fit
+from bgwr.freq_gwr import effective_params_freq, wls_fit
 from bgwr.simulation import (BASE_BETAS, REGIONAL_BETAS, SimulationDesign,
                              generate_dataset, replicate_seed, run_study,
                              true_beta)
 from bgwr.spatial_graph import DistanceMatrix, graph_distances
+from bgwr.suffstats import Dataset
 from bgwr.weighting import WeightMatrix, WeightScheme, kernel_weight
 
 import conftest
@@ -116,7 +117,7 @@ def test_criterion_3_kernel_point_checks():
 
 def test_criterion_4_conjugate_exactness():
     n, p, s2 = 40, 5, 1.3
-    d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+    d = DistanceMatrix(("a",), np.zeros((1, 1)))
     cfg = BayesConfig(tau2=0.01, c2=10000.0, chain_length=20500, burn_in=500,
                       fix_sigma2=s2, fix_gamma=(1,) * p, fix_bandwidth=10.0)
     t0 = time.time()
@@ -153,7 +154,7 @@ def test_criterion_5_prior_recovery():
     n = 20
     data = Dataset(y=rng.normal(size=n), X=rng.normal(size=(n, 5)),
                    locations=("a", "b") * 10)
-    d = DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]]), "graph")
+    d = DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]]))
     cfg = BayesConfig(bandwidth_upper=100.0, chain_length=13000, burn_in=3000,
                       seed=MASTER_SEED, flat_likelihood=True)
     t0 = time.time()
@@ -303,8 +304,7 @@ def test_criterion_10_hpd_and_cpo():
     post = GwrPosterior(locations=("a",), beta=beta,
                         sigma2=np.full((1, 1), s2),
                         gamma=np.ones((1, 2), dtype=int), b=np.ones(1),
-                        acceptance_rate_b=0.0, kernel="unity",
-                        dsub=np.zeros((1, 1)), config=BayesConfig())
+                        acceptance_rate_b=0.0)
     a = cpo_lpml(post, data)
     mu = data.X @ beta[0, 0]
     dens = np.exp(-0.5 * (data.y - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)

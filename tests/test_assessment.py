@@ -9,17 +9,17 @@ from scipy.stats import multivariate_normal, norm
 from bgwr import assessment
 from bgwr.assessment import assess, cpo_lpml, dic
 from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
-from bgwr.freq_gwr import Dataset
 from bgwr.simulation import (BASE_BETAS, SimulationDesign, generate_dataset,
                              replicate_seed, true_beta)
 from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from bgwr.suffstats import Dataset
 from conftest import dic_oracle, log_cpo_oracle, loglik_oracle, sampler_loglik
 
 
 def two_location_setup(rng, n_per=6, p=2):
     locs = ("a", "b")
     values = np.array([[0., 1.], [1., 0.]])
-    d = DistanceMatrix(locs, values, "graph")
+    d = DistanceMatrix(locs, values)
     obs = tuple(s for s in locs for _ in range(n_per))
     X = rng.normal(size=(2 * n_per, p))
     y = X @ rng.normal(size=p) + rng.normal(size=2 * n_per)
@@ -33,9 +33,7 @@ def constant_posterior(data, d, kernel, b, beta, sigma2, T=5):
                         beta=np.tile(beta, (T, 1, 1)),
                         sigma2=np.tile(sigma2, (T, 1)),
                         gamma=np.ones((T, beta.shape[1]), dtype=int),
-                        b=np.full(T, b), acceptance_rate_b=0.3,
-                        kernel=kernel, dsub=d.submatrix(data.unique_locations()),
-                        config=BayesConfig())
+                        b=np.full(T, b), acceptance_rate_b=0.3)
 
 
 def log_weights(data, d, log_kernel):
@@ -59,7 +57,7 @@ class TestDeviance:
     def test_zero_residual_unity_value(self):
         X = np.ones((4, 1))
         data = Dataset(y=X[:, 0] * 2.0, X=X, locations=("a",) * 4)
-        d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        d = DistanceMatrix(("a",), np.zeros((1, 1)))
         dev = -2.0 * sampler_loglik(data, d, "unity", None, np.array([[2.0]]),
                                     np.array([1.0]))
         assert abs(dev - 4 * math.log(2 * math.pi)) < 1e-12
@@ -151,7 +149,7 @@ class TestDic:
                           bandwidth_upper=10.0)
         post = run_sampler(data, d, "exponential", cfg)
         a = dic(post, data)
-        b = dic(replace(post, kernel="step", b=np.zeros_like(post.b)), data)
+        b = dic(replace(post, b=np.zeros_like(post.b)), data)
         for field in ("dic", "p_d", "mean_deviance", "deviance_at_mean"):
             assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12)
 
@@ -194,7 +192,7 @@ class TestCpoLpml:
         n = 50
         data = Dataset(y=rng.standard_normal(n), X=np.zeros((n, 1)) + 1e-12,
                        locations=("a",) * n)
-        d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        d = DistanceMatrix(("a",), np.zeros((1, 1)))
         post = constant_posterior(data, d, "unity", 1.0,
                                   np.zeros((1, 1)), np.ones(1), T=10)
         a = cpo_lpml(post, data)
@@ -340,8 +338,7 @@ class TestDrawBlocks:
         post = GwrPosterior(locations=locs, beta=rng.normal(size=(T, L, p)),
                             sigma2=rng.gamma(2.0, size=(T, L)),
                             gamma=np.ones((T, p), dtype=int), b=np.ones(T),
-                            acceptance_rate_b=0.0, kernel="unity",
-                            dsub=np.zeros((L, L)), config=BayesConfig())
+                            acceptance_rate_b=0.0)
         tracemalloc.start()
         try:
             a = assess(post, data)

@@ -6,18 +6,17 @@ from scipy.stats import kstest, multivariate_normal
 
 from bgwr import bayes_gwr
 from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _kernel_state,
-                            _shell_state, _weighted_rss, block_stats, hpd_interval,
-                            posterior_summary, run_sampler, selected_model,
-                            weighted_blocks)
-from bgwr.freq_gwr import Dataset
+                            _shell_state, _weighted_rss, hpd_interval,
+                            posterior_summary, run_sampler, selected_model)
 from bgwr.spatial_graph import (DistanceMatrix, build_graph, euclidean_distances,
                                 graph_distances)
+from bgwr.suffstats import Dataset, block_stats, weighted_blocks
 from bgwr.weighting import WeightScheme, kernel_weight, log_kernel_weight
 from conftest import loglik_oracle, sampler_loglik
 
 
 def one_location_distance():
-    return DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+    return DistanceMatrix(("a",), np.zeros((1, 1)))
 
 
 def make_posterior(gamma_freq, T=100):
@@ -28,9 +27,7 @@ def make_posterior(gamma_freq, T=100):
         gamma[: int(round(f * T)), j] = 1
     return GwrPosterior(locations=("a",), beta=np.zeros((T, 1, p)),
                         sigma2=np.ones((T, 1)), gamma=gamma,
-                        b=np.full(T, 1.0), acceptance_rate_b=0.3,
-                        kernel="unity", dsub=np.zeros((1, 1)),
-                        config=BayesConfig())
+                        b=np.full(T, 1.0), acceptance_rate_b=0.3)
 
 
 class TestConfigValidation:
@@ -99,7 +96,7 @@ class TestLogLikelihoodLocation:
             # one row per location, so the weights vary row by row
             labels = tuple(f"l{i}" for i in range(n))
             dist = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), 1)
-            d = DistanceMatrix(labels, dist + dist.T, "graph")
+            d = DistanceMatrix(labels, dist + dist.T)
             data = Dataset(y=rng.normal(size=n), X=rng.normal(size=(n, 2)),
                            locations=labels)
             b = float(rng.uniform(0.5, 4.0))
@@ -130,7 +127,7 @@ class TestLogLikelihoodLocation:
 
     def test_underflowed_weights_keep_log_weight_penalty(self):
         rng = np.random.default_rng(4)
-        d = DistanceMatrix(("a", "b"), np.array([[0.0, 800.0], [800.0, 0.0]]), "graph")
+        d = DistanceMatrix(("a", "b"), np.array([[0.0, 800.0], [800.0, 0.0]]))
         data = Dataset(y=rng.normal(size=6), X=rng.normal(size=(6, 2)),
                        locations=("a",) * 3 + ("b",) * 3)
         beta = rng.normal(size=(2, 2))
@@ -316,7 +313,7 @@ class TestPriorRecovery:
         n = 20
         data = Dataset(y=rng.normal(size=n), X=rng.normal(size=(n, 3)),
                        locations=("a", "b") * 10)
-        d = DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]]), "graph")
+        d = DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]]))
         cfg = BayesConfig(bandwidth_upper=100.0, chain_length=9000,
                           burn_in=1000, seed=5, flat_likelihood=True)
         post = run_sampler(data, d, "exponential", cfg)
@@ -334,7 +331,7 @@ class TestSamplerContracts:
         y = X @ np.array([2.0, 0.0, 4.0]) + rng.normal(size=n)
         data = Dataset(y=y, X=X, locations=("a", "b", "c") * 10)
         values = np.array([[0., 1., 2.], [1., 0., 1.], [2., 1., 0.]])
-        d = DistanceMatrix(("a", "b", "c"), values, "graph")
+        d = DistanceMatrix(("a", "b", "c"), values)
         cfg = BayesConfig(tau2=0.01, chain_length=1500, burn_in=500,
                           seed=seed, **kw)
         return run_sampler(data, d, "exponential", cfg)

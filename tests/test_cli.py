@@ -283,8 +283,7 @@ class TestCliCommands:
         T, L, p = 3, china.n, 3
         post = GwrPosterior(locations=tuple(china.vertices), beta=np.zeros((T, L, p)),
                             sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
-                            b=np.ones(T), acceptance_rate_b=0.0, kernel="exponential",
-                            dsub=np.zeros((L, L)), config=BayesConfig())
+                            b=np.ones(T), acceptance_rate_b=0.0)
         chains = tmp_path / "chains.csv"
         dataio.write_chains(chains, post)
         aout = tmp_path / "assess"
@@ -302,7 +301,7 @@ class TestCliCommands:
         post = run_sampler(data, china_d, "exponential", cfg)
         path = tmp_path / "chains.csv"
         dataio.write_chains(path, post)
-        back = dataio.read_chains(path, "exponential", china_d)
+        back = dataio.read_chains(path)
         np.testing.assert_array_equal(back.beta, post.beta)
         np.testing.assert_array_equal(back.sigma2, post.sigma2)
         np.testing.assert_array_equal(back.gamma, post.gamma)
@@ -320,8 +319,7 @@ class TestCliCommands:
         post = GwrPosterior(locations=("a", "b b", "c-1"), beta=beta, sigma2=sigma2,
                             gamma=rng.integers(0, 2, size=(T, p)),
                             b=np.array([0.5, -1e-20, 3.0, 1.2345678901234567e22]),
-                            acceptance_rate_b=0.5, kernel="exponential",
-                            dsub=np.zeros((L, L)), config=BayesConfig())
+                            acceptance_rate_b=0.5)
         def fmt(v):
             return format(v, ".17g")  # -inf keeps its sign
 
@@ -343,12 +341,10 @@ class TestCliCommands:
         beta[0, 1, 0], beta[1, 0, 1] = -np.inf, np.inf
         post = GwrPosterior(locations=("a", "b"), beta=beta, sigma2=np.ones((T, L)),
                             gamma=np.ones((T, p), dtype=int), b=np.array([1.0, 2.0]),
-                            acceptance_rate_b=0.5, kernel="exponential",
-                            dsub=np.zeros((L, L)), config=BayesConfig())
+                            acceptance_rate_b=0.5)
         path = tmp_path / "chains.csv"
         dataio.write_chains(path, post)
-        d = DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), "graph")
-        back = dataio.read_chains(path, "exponential", d)
+        back = dataio.read_chains(path)
         np.testing.assert_array_equal(back.beta, beta)
         assert [dataio.fmt(v) for v in (-np.inf, np.inf, -0.5)] == ["-inf", "inf", "-0.5"]
 
@@ -365,6 +361,22 @@ class TestCliCommands:
         assert main(["assess", "--data", str(data_path), "--chains", str(chains),
                      "--kernel", "exponential", "--out", str(aout)]) == 1
         assert "incomplete chain dump" in capsys.readouterr().err
+        assert not aout.exists() or not os.listdir(aout)
+
+    def test_assess_rejects_chain_locations_outside_the_graph(self, tmp_path, china, capsys):
+        data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
+        T, p = 2, 3
+        locations = tuple(china.vertices[1:]) + ("Atlantis",)
+        L = len(locations)
+        post = GwrPosterior(locations=locations, beta=np.zeros((T, L, p)),
+                            sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
+                            b=np.ones(T), acceptance_rate_b=0.0)
+        chains = tmp_path / "chains.csv"
+        dataio.write_chains(chains, post)
+        aout = tmp_path / "assess"
+        assert main(["assess", "--data", str(data_path), "--chains", str(chains),
+                     "--kernel", "exponential", "--out", str(aout)]) == 1
+        assert "chain locations not in the graph: ['Atlantis']" in capsys.readouterr().err
         assert not aout.exists() or not os.listdir(aout)
 
     @pytest.mark.parametrize("edit", ["duplicate_row", "gamma_differs", "b_differs",
@@ -390,4 +402,4 @@ class TestCliCommands:
             lines[5] = ",".join(cells[:-1])
         write_lines(path, lines)
         with pytest.raises(ValueError):
-            dataio.read_chains(path, "exponential", china_d)
+            dataio.read_chains(path)

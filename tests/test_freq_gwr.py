@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from bgwr.freq_gwr import (RCOND_MIN, Dataset, SingularSystemError,
+from bgwr.bayes_gwr import BayesConfig, run_sampler
+from bgwr.freq_gwr import (RCOND_MIN, SingularSystemError,
                            default_bandwidth_grid, effective_params_freq,
                            fit_all_locations, select_bandwidth_grid, wls_fit)
 from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from bgwr.suffstats import Dataset
 from bgwr.weighting import KERNELS, WeightMatrix, WeightScheme, kernel_weight, weight_matrix
 
 
 def two_location_distance():
-    return DistanceMatrix(("a", "b"), np.array([[0., 2.], [2., 0.]]), "graph")
+    return DistanceMatrix(("a", "b"), np.array([[0., 2.], [2., 0.]]))
 
 
 def random_dataset(rng, n=12, p=3, locations=("a", "b")):
@@ -109,7 +111,7 @@ class TestFitAllLocations:
     def test_single_location_unity_is_ols(self):
         rng = np.random.default_rng(6)
         data = random_dataset(rng, locations=("a",))
-        d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        d = DistanceMatrix(("a",), np.zeros((1, 1)))
         fit = fit_all_locations(data, WeightScheme("unity"), d)
         ref, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
         np.testing.assert_allclose(fit.beta_hat[0], ref, atol=1e-10)
@@ -145,39 +147,38 @@ class TestBandwidthGrid:
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
         data = random_dataset(rng)
-        b, table = select_bandwidth_grid(data, WeightScheme("exponential", 1.0),
-                                         two_location_distance(), [2.5])
+        b, table = select_bandwidth_grid(data, "exponential", two_location_distance(), [2.5])
         assert b == 2.5 and len(table) == 1
 
     def test_table_matches_independent_fits(self):
         rng = np.random.default_rng(10)
         data = random_dataset(rng)
         d = two_location_distance()
-        proto = WeightScheme("exponential", 1.0)
         grid = [0.5, 2.0, 8.0]
-        _, table = select_bandwidth_grid(data, proto, d, grid)
+        _, table = select_bandwidth_grid(data, "exponential", d, grid)
         for b, sse in table:
             ref = fit_all_locations(data, WeightScheme("exponential", b), d).sse
             assert sse == ref
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_kernel_name_same_as_scheme(self, kernel, china_d):
+    def test_weight_scheme_rejected_as_kernel(self, kernel, china_d):
+        # the kernel argument is a name; a scheme's bandwidth would be ignored
         rng = np.random.default_rng(14)
         data = random_dataset(rng, n=90, locations=china_d.labels)
+        scheme = WeightScheme(kernel, None if kernel == "unity" else 1.0)
         grid = default_bandwidth_grid(china_d, num=8)
-        by_name = select_bandwidth_grid(data, kernel, china_d, grid)
-        by_scheme = select_bandwidth_grid(
-            data, WeightScheme(kernel, None if kernel == "unity" else 1.0), china_d, grid)
-        assert by_name[0] == by_scheme[0]
-        np.testing.assert_array_equal(np.array(by_name[1]), np.array(by_scheme[1]))
+        with pytest.raises(ValueError, match="unknown kernel"):
+            select_bandwidth_grid(data, scheme, china_d, grid)
+        with pytest.raises(ValueError, match="unknown kernel"):
+            run_sampler(data, china_d, scheme, BayesConfig(chain_length=2, burn_in=1))
 
     def test_tie_breaks_toward_smaller(self):
         # step thresholds inside the same distance gap give identical weights,
         # hence exactly tied SSE
         rng = np.random.default_rng(11)
         data = random_dataset(rng)
-        b, table = select_bandwidth_grid(data, WeightScheme("step", 1.0),
-                                         two_location_distance(), [1.7, 0.5, 1.2])
+        b, table = select_bandwidth_grid(data, "step", two_location_distance(),
+                                         [1.7, 0.5, 1.2])
         sses = [sse for _, sse in table]
         assert sses[0] == sses[1] == sses[2]
         assert b == 0.5
@@ -186,18 +187,15 @@ class TestBandwidthGrid:
         rng = np.random.default_rng(12)
         data = random_dataset(rng)
         with pytest.raises(ValueError, match="empty"):
-            select_bandwidth_grid(data, WeightScheme("exponential", 1.0),
-                                  two_location_distance(), [])
+            select_bandwidth_grid(data, "exponential", two_location_distance(), [])
         with pytest.raises(ValueError, match="positive"):
-            select_bandwidth_grid(data, WeightScheme("exponential", 1.0),
-                                  two_location_distance(), [-1.0, 2.0])
+            select_bandwidth_grid(data, "exponential", two_location_distance(), [-1.0, 2.0])
 
     def test_all_singular_raises(self):
         X = np.ones((6, 2))
         data = Dataset(y=np.zeros(6), X=X, locations=("a", "b") * 3)
         with pytest.raises(SingularSystemError):
-            select_bandwidth_grid(data, WeightScheme("exponential", 1.0),
-                                  two_location_distance(), [1.0, 2.0])
+            select_bandwidth_grid(data, "exponential", two_location_distance(), [1.0, 2.0])
 
     def test_default_grid_span(self, china_d):
         grid = default_bandwidth_grid(china_d)
@@ -210,7 +208,7 @@ class TestEffectiveParams:
     def test_unity_single_location_equals_p(self):
         rng = np.random.default_rng(13)
         data = random_dataset(rng, n=10, p=4, locations=("a",))
-        d = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        d = DistanceMatrix(("a",), np.zeros((1, 1)))
         enp = effective_params_freq(data, WeightScheme("unity"), d)
         assert abs(enp - 4.0) < 1e-10
 
@@ -324,7 +322,7 @@ def test_singular_location_named_as_by_oracle(scheme):
     assert names_singular(fit_all_locations, data, scheme, d) == "d"
     assert names_singular(effective_params_freq, data, scheme, d) == "d"
     # a wide bandwidth lets a and d borrow their neighbours' rows
-    best, table = select_bandwidth_grid(data, scheme, d, [scheme.bandwidth, 5.0])
+    best, table = select_bandwidth_grid(data, scheme.kernel, d, [scheme.bandwidth, 5.0])
     assert np.isnan(table[0][1]) and np.isfinite(table[1][1]) and best == 5.0
 
 
@@ -363,7 +361,7 @@ def test_singularity_rule_near_threshold(rcond, singular):
         # fit at one location under unity weights
         folded = Dataset(y=data.y * np.sqrt(w), X=X * np.sqrt(w)[:, None],
                          locations=data.locations)
-        unit = DistanceMatrix(("a",), np.zeros((1, 1)), "graph")
+        unit = DistanceMatrix(("a",), np.zeros((1, 1)))
         if singular:
             with pytest.raises(SingularSystemError):
                 wls_fit(data, WeightMatrix("a", w))

@@ -1,0 +1,65 @@
+"""Module layering, read from the import statements of the package and tests.
+
+``bgwr.suffstats`` holds the dataset and its per-location sufficient
+statistics and sits below every model: it imports no other bgwr module, and
+the frequentist fit and the assessment take the statistics from it rather
+than from the sampler.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bgwr").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported(path):
+    """(module, name) for each import in a file, with the module made
+    absolute; name is None for ``import module``."""
+    package = "bgwr" if path.parent.name == "bgwr" else ""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, (package, module)))
+            out += [(module, alias.name) for alias in node.names]
+    return out
+
+
+def bgwr_modules(path):
+    """Every bgwr module a file imports, as dotted names."""
+    found = set()
+    for module, name in imported(path):
+        if module == "bgwr" and name is not None:
+            found.add(f"bgwr.{name}")
+        elif module.split(".")[0] == "bgwr":
+            found.add(module)
+    return found
+
+
+def source(name):
+    return ROOT / "src" / "bgwr" / f"{name}.py"
+
+
+def test_suffstats_imports_no_bgwr_module():
+    assert bgwr_modules(source("suffstats")) == set()
+
+
+def test_freq_gwr_and_assessment_do_not_import_the_sampler():
+    for name in ("freq_gwr", "assessment"):
+        assert "bgwr.bayes_gwr" not in bgwr_modules(source(name)), name
+
+
+def test_no_file_takes_dataset_from_freq_gwr():
+    offenders = []
+    for path in SOURCES:
+        if ("bgwr.freq_gwr", "Dataset") in imported(path):
+            offenders.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "Dataset"
+                    and isinstance(node.value, ast.Name) and node.value.id == "freq_gwr"):
+                offenders.append(path.name)
+    assert offenders == []

@@ -137,7 +137,7 @@ class TestMds:
         labels = ("a", "b", "c", "d")
         pos = np.array([0.0, 1.0, 2.0, 3.0])
         values = np.abs(pos[:, None] - pos[None, :])
-        emb = mds_embed(DistanceMatrix(labels, values, "euclidean"))
+        emb = mds_embed(DistanceMatrix(labels, values))
         x = emb.coords[:, 0]
         np.testing.assert_allclose(np.diff(x), np.full(3, np.sign(x[-1] - x[0])),
                                    atol=1e-9)
@@ -145,7 +145,7 @@ class TestMds:
 
     def test_regular_triangle_symmetric(self):
         values = np.ones((3, 3)) - np.eye(3)
-        emb = mds_embed(DistanceMatrix(("a", "b", "c"), values, "euclidean"))
+        emb = mds_embed(DistanceMatrix(("a", "b", "c"), values))
         c = emb.coords
         dists = sorted(np.linalg.norm(c[i] - c[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
         assert dists[-1] - dists[0] < 1e-9
@@ -167,23 +167,23 @@ class TestMds:
         emb = mds_embed(china_d)
         perm = np.random.default_rng(0).permutation(30)
         labels = tuple(china_d.labels[i] for i in perm)
-        shuffled = DistanceMatrix(labels, china_d.values[np.ix_(perm, perm)], "graph")
+        shuffled = DistanceMatrix(labels, china_d.values[np.ix_(perm, perm)])
         emb2 = mds_embed(shuffled)
         np.testing.assert_allclose(emb2.coords, emb.coords[perm], atol=1e-8)
 
     def test_unreachable_rejected(self):
         values = np.array([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]], dtype=float)
         with pytest.raises(ValueError, match="UNREACHABLE"):
-            mds_embed(DistanceMatrix(("a", "b", "c"), values, "graph"))
+            mds_embed(DistanceMatrix(("a", "b", "c"), values))
 
     def test_too_few_locations_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
-            mds_embed(DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]]), "graph"))
+            mds_embed(DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]])))
 
 
 def test_distance_matrix_csv_round_trip(tmp_path):
     values = np.array([[0, 2, np.inf], [2, 0, 1], [np.inf, 1, 0]], dtype=float)
-    d = DistanceMatrix(("a", "b", "c"), values, "graph")
+    d = DistanceMatrix(("a", "b", "c"), values)
     path = tmp_path / "d.csv"
     d.to_csv(path)
     back = DistanceMatrix.from_csv(path)

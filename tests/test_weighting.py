@@ -116,7 +116,7 @@ class TestLogKernelWeight:
 class TestWeightMatrix:
     def _distance(self):
         values = np.array([[0., 1., 2.], [1., 0., 1.], [2., 1., 0.]])
-        return DistanceMatrix(("a", "b", "c"), values, "graph")
+        return DistanceMatrix(("a", "b", "c"), values)
 
     def test_unity_all_ones(self):
         d = self._distance()
