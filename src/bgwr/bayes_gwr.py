@@ -11,12 +11,24 @@ Update scheme per sweep:
 * for each covariate j: draw gamma_j from its conditional with beta_j(.)
   integrated out (exact Gaussian marginal), then redraw beta_j(s) from its
   conjugate normal conditional -- a blocked update that mixes across the
-  spike/slab states without random-walk moves;
+  spike/slab states without random-walk moves.  Everything these
+  conditionals take from (sigma2, b, tau2) is computed once per sweep for
+  all p covariates, as (p, L) rows: the likelihood precision lam, the
+  log Bayes-factor constant and t-statistic weight of the gamma_j draw, and
+  for both gamma states the posterior-mean factor and standard deviation.
+  What they take from the other coefficients is the running (p, L) array
+  num, num[j] = V_j - sum_{k != j} M_jk beta_k, built at the start of the
+  sweep and updated by M[:, :, j].T * delta after each beta_j draw, so one
+  covariate costs a dot product, one uniform and L normal draws and a few
+  elementwise operations;
 * sigma2(s) from its conjugate inverse-gamma conditional;
 * optionally tau_j^2 from its inverse-gamma conditional (hyperprior variant);
 * b by random-walk Metropolis--Hastings, proposals folded back into (0, D)
   by reflection; the proposal scale adapts toward ~0.3 acceptance during
-  burn-in and is frozen afterwards.
+  burn-in and is frozen afterwards.  The log ratio is one difference of
+  the two kernel states' log-likelihood terms, and the Gibbs block's
+  (p, L) layouts of the kernel state are derived only when a proposal is
+  accepted.
 
 Observations with weight zero at a location contribute nothing to that
 location's likelihood (sigma2 W^-1 is undefined at w = 0); the log-determinant
@@ -34,6 +46,7 @@ from .weighting import WeightScheme, log_kernel_weight
 MH_TARGET_ACCEPT = 0.3
 MH_ADAPT_WINDOW = 50
 MH_ADAPT_FACTOR = 1.5
+LOG_2PI = math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,8 @@ class GwrPosterior:
     sigma2: np.ndarray    # (T, L)
     gamma: np.ndarray     # (T, p) of 0/1
     b: np.ndarray         # (T,)
-    acceptance_rate_b: float
+    acceptance_rate_b: float  # post-burn-in MH acceptance of b
+    proposal_scale: float     # the MH proposal sd after burn-in adaptation
 
     @property
     def n_draws(self):
@@ -109,7 +123,7 @@ class PosteriorSummary:
 
 def _kernel_state(kernel, dsub, b, counts, G, h, q):
     """Everything that depends on the bandwidth: the weighted blocks M and V,
-    the weighted response norms Kq, the diagonal of M and the log-det terms.
+    the weighted response norms Kq and the log-det terms.
 
     Positivity is judged on the analytic log weights so that underflowed
     (but structurally positive) weights keep their observations in the
@@ -121,8 +135,7 @@ def _kernel_state(kernel, dsub, b, counts, G, h, q):
     npos = pos @ counts
     sumlogw = np.where(pos, logK, 0.0) @ counts
     M, V = weighted_blocks(K, G, h)
-    return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V,
-            "Kq": K @ q, "Mdiag": np.diagonal(M, axis1=1, axis2=2).copy()}
+    return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V, "Kq": K @ q}
 
 
 def _distance_shells(dsub, counts, G, h, q):
@@ -158,8 +171,7 @@ def _shell_state(kernel, shells, b):
     S = (np.exp(lw) @ T.reshape(U, L * C)).reshape(L, C)
     M = np.ascontiguousarray(S[:, :p * p]).reshape(L, p, p)
     return {"b": b, "npos": pos @ n, "sumlogw": np.where(pos, lw, 0.0) @ n, "M": M,
-            "V": S[:, p * p:p * p + p], "Kq": S[:, -2],
-            "Mdiag": np.diagonal(M, axis1=1, axis2=2).copy()}
+            "V": S[:, p * p:p * p + p], "Kq": S[:, -2]}
 
 
 def _weighted_rss(state, beta):
@@ -170,14 +182,29 @@ def _weighted_rss(state, beta):
 
 
 def _total_loglik(state, Q, sigma2):
-    return -0.5 * float(np.sum(state["npos"] * (math.log(2 * math.pi) + np.log(sigma2))
+    return -0.5 * float(np.sum(state["npos"] * (LOG_2PI + np.log(sigma2))
                                - state["sumlogw"] + Q / sigma2))
 
 
+def _gibbs_layout(state):
+    """The kernel state as the Gibbs block reads it, (p, L) rows contiguous:
+    Mt[j] = M[:, :, j].T, V.T, the diagonal of M and where it is positive.
+    Derived once per accepted bandwidth."""
+    M = state["M"]
+    diag = np.diagonal(M, axis1=1, axis2=2).T.copy()
+    return np.ascontiguousarray(M.transpose(2, 1, 0)), state["V"].T.copy(), diag, diag > 0
+
+
+def _coin(rng, log_odds):
+    """1 with probability 1 / (1 + exp(-log_odds)), from one uniform draw."""
+    u = rng.random()
+    return 1 if math.log(u) - math.log1p(-u) < log_odds else 0
+
+
 def _fold(x, upper):
-    """Reflect a proposal back into (0, upper)."""
+    """Reflect a proposal (a float) back into (0, upper)."""
     period = 2.0 * upper
-    x = np.abs(x) % period
+    x = abs(x) % period
     return period - x if x > upper else x
 
 
@@ -200,6 +227,11 @@ def run_sampler(data, d, kernel, cfg):
     gamma = np.ones(p, dtype=int) if cfg.fix_gamma is None else np.asarray(cfg.fix_gamma, dtype=int)
     if cfg.fix_gamma is not None and gamma.shape != (p,):
         raise ValueError("fix_gamma length must match the covariate count")
+    if not np.isin(gamma, (0, 1)).all():
+        raise ValueError("fix_gamma entries must be 0 or 1")
+    if not cfg.selection:
+        gamma[:] = 1
+    sample_gamma = cfg.selection and cfg.fix_gamma is None
     tau2 = np.full(p, cfg.tau2)
     b = cfg.fix_bandwidth if cfg.fix_bandwidth is not None else D / 2.0
 
@@ -212,9 +244,11 @@ def run_sampler(data, d, kernel, cfg):
         return _shell_state(kernel, shells, b)
 
     state = kernel_state(b)
+    Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
-    beta = np.linalg.solve(ridge, state["V"][..., None])[..., 0]
+    betaT = np.linalg.solve(ridge, state["V"][..., None])[..., 0].T.copy()
+    beta = betaT.T  # (L, p) view
     Q = _weighted_rss(state, beta)
     sigma2 = np.maximum(Q / np.maximum(state["npos"], 1.0), 1e-6)
     if cfg.fix_sigma2 is not None:
@@ -232,49 +266,47 @@ def run_sampler(data, d, kernel, cfg):
     b_out = np.empty(n_keep)
     accepted_post = 0
 
+    def prior_variances():
+        """v[g, j], the prior variance of beta_j(.) under gamma_j = g."""
+        if not cfg.selection:
+            return np.full((2, p), cfg.slab_only_var)
+        return np.stack((tau2, cfg.c2 * tau2))
+
+    v = prior_variances()
     for t in range(cfg.chain_length):
         # --- (gamma_j, beta_j(.)) blocked updates -------------------------
-        # fixed while sigma2 and b are: the diagonal of M, its positive
-        # entries, the likelihood precisions and the t-statistic denominators
-        Mdiag = state["Mdiag"]
         if flat:
-            lam = tstat = np.zeros(L)
+            for j in range(p):
+                if sample_gamma:
+                    gamma[j] = _coin(rng, logit_prior)
+                betaT[j] = rng.normal(0.0, math.sqrt(v[gamma[j], j]), size=L)
         else:
-            has_obs = Mdiag > 0
-            lam_all = np.where(has_obs, Mdiag / sigma2[:, None], 0.0)
-            den_all = np.where(has_obs, Mdiag, 1.0) * sigma2[:, None]
-        Mbeta = (state["M"] @ beta[:, :, None])[:, :, 0]
-        for j in range(p):
-            v0 = tau2[j]
-            v1 = cfg.c2 * tau2[j]
-            num = state["V"][:, j] - Mbeta[:, j] + Mdiag[:, j] * beta[:, j]
-            if not flat:
-                lam = lam_all[:, j]
-                tstat = np.where(has_obs[:, j], num ** 2 / den_all[:, j], 0.0)
-            if not cfg.selection:
-                gamma[j] = 1
-                v = cfg.slab_only_var
-            else:
-                if cfg.fix_gamma is None:
-                    # beta_j integrated out: per-location Bayes factor of
-                    # slab vs spike given the conditional Gaussian likelihood
-                    log_bf = (-0.5 * (np.log1p(lam * v1) - np.log1p(lam * v0))
-                              - 0.5 * tstat * (1.0 / (lam * v1 + 1.0) - 1.0 / (lam * v0 + 1.0)))
-                    log_odds = logit_prior + float(log_bf.sum())
-                    u = rng.random()
-                    gamma[j] = 1 if math.log(u) - math.log1p(-u) < log_odds else 0
-                v = v1 if gamma[j] == 1 else v0
-            if flat:
-                new_bj = rng.normal(0.0, math.sqrt(v), size=L)
-            else:
-                prec = lam + 1.0 / v
-                mean = np.where(has_obs[:, j], num / sigma2, 0.0) / prec
-                new_bj = mean + rng.normal(size=L) / np.sqrt(prec)
-            Mbeta += state["M"][:, :, j] * (new_bj - beta[:, j])[:, None]
-            beta[:, j] = new_bj
-
-        # the current state's weighted RSS, shared by the sigma2 draw and MH
-        if not flat:
+            # fixed while sigma2, b and tau2 are, for all p covariates at
+            # once; the (2, p, L) arrays are indexed [gamma_j, j]
+            lam = Mdiag / sigma2  # 0 where Mdiag = 0, as Mdiag >= 0
+            lv = lam * v[:, :, None]
+            log1p_lv = np.log1p(lv)
+            inv_lv1 = 1.0 / (lv + 1.0)
+            # log odds of slab vs spike, beta_j integrated out:
+            # log_odds[j] + sum_s w[j, s] num[j, s]^2; lam = 0 makes w = 0
+            # where Mdiag = 0, and the guarded divisor keeps 0/0 out
+            log_odds = (logit_prior - 0.5 * (log1p_lv[1] - log1p_lv[0]).sum(axis=1)).tolist()
+            w = -0.5 * (inv_lv1[1] - inv_lv1[0]) / (np.where(has_obs, Mdiag, 1.0) * sigma2)
+            prec = lam + 1.0 / v[:, :, None]
+            mean_factor = np.where(has_obs, 1.0 / (sigma2 * prec), 0.0)
+            sd = 1.0 / np.sqrt(prec)
+            # num[j] = V_j - sum_{k != j} M_jk beta_k, kept current as beta
+            # moves (row j goes stale once beta_j is drawn, unread)
+            num = VT - (Mt * betaT[:, None, :]).sum(axis=0) + Mdiag * betaT
+            for j in range(p):
+                nj = num[j]
+                if sample_gamma:
+                    gamma[j] = _coin(rng, log_odds[j] + float(nj @ (nj * w[j])))
+                g = gamma[j]
+                new_bj = nj * mean_factor[g, j] + rng.normal(size=L) * sd[g, j]
+                num -= Mt[j] * (new_bj - betaT[j])
+                betaT[j] = new_bj
+            # the current state's weighted RSS, shared by the sigma2 draw and MH
             Q = _weighted_rss(state, beta)
 
         # --- sigma2(s) ----------------------------------------------------
@@ -292,8 +324,9 @@ def run_sampler(data, d, kernel, cfg):
         # --- tau_j^2 hyperprior -------------------------------------------
         if cfg.tau_hyperprior and cfg.selection:
             scale_div = np.where(gamma == 1, cfg.c2, 1.0)
-            rate = cfg.alpha2 + 0.5 * (beta ** 2 / scale_div).sum(axis=0)
+            rate = cfg.alpha2 + 0.5 * (betaT ** 2).sum(axis=1) / scale_div
             tau2 = rate / rng.standard_gamma(cfg.alpha1 + L / 2.0, size=p)
+            v = prior_variances()
 
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
@@ -302,11 +335,16 @@ def run_sampler(data, d, kernel, cfg):
             if flat:
                 accept = True
             else:
-                log_ratio = (_total_loglik(prop_state, _weighted_rss(prop_state, beta), sigma2)
-                             - _total_loglik(state, Q, sigma2))
+                # log-likelihood difference, summed over locations
+                log_ratio = -0.5 * (
+                    float((prop_state["npos"] - state["npos"]) @ (LOG_2PI + np.log(sigma2)))
+                    - float(np.sum(prop_state["sumlogw"] - state["sumlogw"]))
+                    + float(np.sum((_weighted_rss(prop_state, beta) - Q) / sigma2)))
                 accept = math.log(rng.random()) < log_ratio
             if accept:
                 state = prop_state
+                if not flat:
+                    Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
                 adapt_accepts += 1
                 if t >= cfg.burn_in:
                     accepted_post += 1
@@ -325,9 +363,11 @@ def run_sampler(data, d, kernel, cfg):
             gamma_out[k] = gamma
             b_out[k] = state["b"]
 
-    acc = accepted_post / n_keep if cfg.fix_bandwidth is None else 0.0
+    sampled = cfg.fix_bandwidth is None
     return GwrPosterior(locations=locs, beta=beta_out, sigma2=sigma2_out,
-                        gamma=gamma_out, b=b_out, acceptance_rate_b=acc)
+                        gamma=gamma_out, b=b_out,
+                        acceptance_rate_b=accepted_post / n_keep if sampled else 0.0,
+                        proposal_scale=prop_scale if sampled else math.nan)
 
 
 def hpd_interval(samples, mass=0.95):

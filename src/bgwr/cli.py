@@ -121,6 +121,7 @@ def cmd_fit(args, rc):
     if unknown:
         raise ValueError(f"dataset locations not in the graph: {sorted(unknown)}")
     out = _OutputTracker(args.out)
+    manifest = {"command": "fit", "data": args.data, "n": data.n, "p": data.p}
     try:
         if rc["method"] == "freq":
             if rc["bandwidth"] is not None:
@@ -145,8 +146,9 @@ def cmd_fit(args, rc):
             dataio.write_b_trace(out.path("b_trace.csv"), post)
             if args.dump_chains:
                 dataio.write_chains(out.path("chains.csv"), post)
-        _manifest(out, rc, {"command": "fit", "data": args.data,
-                            "n": data.n, "p": data.p})
+            manifest.update(mh_acceptance=post.acceptance_rate_b,
+                            proposal_scale=post.proposal_scale)
+        _manifest(out, rc, manifest)
     except Exception:
         out.cleanup()
         raise

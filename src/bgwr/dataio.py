@@ -216,7 +216,8 @@ def read_chains(path):
     if (b[t] != num[:, 1]).any() or (gamma[t] != num[:, 3 + p:]).any():
         raise ValueError(f"{path}: rows of one draw disagree on b or gamma")
     return GwrPosterior(locations=locations, beta=beta, sigma2=sigma2,
-                        gamma=gamma, b=b, acceptance_rate_b=float("nan"))
+                        gamma=gamma, b=b, acceptance_rate_b=float("nan"),
+                        proposal_scale=float("nan"))
 
 
 def write_coefficients(path, fit):

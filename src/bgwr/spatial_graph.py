@@ -47,11 +47,15 @@ class DistanceMatrix:
         n = len(self.labels)
         if self.values.shape != (n, n):
             raise ValueError("distance matrix shape does not match labels")
+        # label -> row, built once so that each lookup is O(1)
+        object.__setattr__(self, "_rows", {s: k for k, s in enumerate(self.labels)})
+        if len(self._rows) != n:
+            raise ValueError("duplicate location id in distance matrix labels")
 
     def index(self, label):
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._rows[label]
+        except KeyError:
             raise KeyError(f"unknown location id: {label!r}") from None
 
     def get(self, a, b):
@@ -117,12 +121,16 @@ def graph_distances(g):
     """All-pairs hop-count distance by a breadth-first search from every
     source at once.
 
-    Level k marks, for all sources together, the unvisited vertices with a
-    neighbour on level k-1: a gather of frontier rows through a padded
-    neighbour-index array, whose padding points at an all-False sentinel
-    row.  Distances are symmetric, so row v of the frontier holds vertex v
-    for every source.  Disconnected pairs get UNREACHABLE; this is a value,
-    not an error.
+    Row v of the frontier marks the sources whose level k-1 holds vertex v;
+    level k marks, for all sources together, the unvisited vertices with a
+    neighbour on level k-1.  Vertices are relabeled by decreasing degree,
+    so those with an s-th neighbour are a prefix of the rows: neighbour
+    slot s costs one gather of frontier rows for that prefix.  The hubs,
+    the vertices of degree above K, each take one OR over their own
+    neighbours' rows instead, with K chosen to minimize the K + (number of
+    hubs) array operations a level makes.  A level's array work is thus
+    the edge count times n whatever the degrees.  Disconnected pairs get
+    UNREACHABLE; this is a value, not an error.
     """
     n = g.n
     if n == 0:
@@ -130,27 +138,39 @@ def graph_distances(g):
     index = {v: i for i, v in enumerate(g.vertices)}
     pairs = np.array([[index[v] for v in e] for e in g.edges], dtype=int).reshape(-1, 2)
     src, dst = np.concatenate((pairs, pairs[:, ::-1])).T
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
     deg = np.bincount(src, minlength=n)
-    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
-    nbr = np.full((n, deg.max(initial=0)), n)
-    nbr[src, slot] = dst
+    rank = np.empty(n, dtype=int)
+    rank[np.argsort(-deg, kind="stable")] = np.arange(n)
+    src, dst = rank[src], rank[dst]
+    order = np.argsort(src, kind="stable")
+    dst = dst[order]
+    deg = np.sort(deg)[::-1]
+    start = np.cumsum(deg) - deg
+    # above[k]: the number of vertices of degree above k
+    above = n - np.cumsum(np.bincount(deg))
+    K = int(np.argmin(np.arange(len(above)) + above))
+    hubs = [dst[start[v]:start[v] + deg[v]] for v in range(above[K])]
+    slots = [(slice(above[K], above[s]), dst[start[above[K]:above[s]] + s]) for s in range(K)]
+
+    own = (rank, np.arange(n))
     values = np.full((n, n), UNREACHABLE)
-    np.fill_diagonal(values, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.vstack((reached, np.zeros((1, n), dtype=bool)))
+    values[own] = 0.0
+    reached = np.zeros((n, n), dtype=bool)
+    reached[own] = True
+    frontier = reached.copy()
     level = 0
     while frontier.any():
         level += 1
         new = np.zeros((n, n), dtype=bool)
-        for column in nbr.T:
-            new |= frontier[column]
+        for v, nbrs in enumerate(hubs):
+            new[v] = frontier[nbrs].any(axis=0)
+        for rows, nbrs in slots:
+            new[rows] |= frontier[nbrs]
         new &= ~reached
         values[new] = level
         reached |= new
-        frontier[:n] = new
-    return DistanceMatrix(labels=g.vertices, values=values)
+        frontier = new
+    return DistanceMatrix(labels=g.vertices, values=values[rank])
 
 
 def euclidean_distances(labels, coords):

@@ -304,7 +304,7 @@ def test_criterion_10_hpd_and_cpo():
     post = GwrPosterior(locations=("a",), beta=beta,
                         sigma2=np.full((1, 1), s2),
                         gamma=np.ones((1, 2), dtype=int), b=np.ones(1),
-                        acceptance_rate_b=0.0)
+                        acceptance_rate_b=0.0, proposal_scale=np.nan)
     a = cpo_lpml(post, data)
     mu = data.X @ beta[0, 0]
     dens = np.exp(-0.5 * (data.y - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)

@@ -11,9 +11,10 @@ from bgwr.assessment import assess, cpo_lpml, dic
 from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
 from bgwr.simulation import (BASE_BETAS, SimulationDesign, generate_dataset,
                              replicate_seed, true_beta)
-from bgwr.spatial_graph import DistanceMatrix, build_graph, graph_distances
+from bgwr.spatial_graph import DistanceMatrix, graph_distances
 from bgwr.suffstats import Dataset
-from conftest import dic_oracle, log_cpo_oracle, loglik_oracle, sampler_loglik
+from conftest import (dic_oracle, lattice_graph, log_cpo_oracle, loglik_oracle,
+                      sampler_loglik)
 
 
 def two_location_setup(rng, n_per=6, p=2):
@@ -26,14 +27,13 @@ def two_location_setup(rng, n_per=6, p=2):
     return Dataset(y=y, X=X, locations=obs), d
 
 
-def constant_posterior(data, d, kernel, b, beta, sigma2, T=5):
+def constant_posterior(data, b, beta, sigma2, T=5):
     """Posterior whose every draw is the same point."""
-    L = beta.shape[0]
     return GwrPosterior(locations=data.unique_locations(),
                         beta=np.tile(beta, (T, 1, 1)),
                         sigma2=np.tile(sigma2, (T, 1)),
                         gamma=np.ones((T, beta.shape[1]), dtype=int),
-                        b=np.full(T, b), acceptance_rate_b=0.3)
+                        b=np.full(T, b), acceptance_rate_b=0.3, proposal_scale=np.nan)
 
 
 def log_weights(data, d, log_kernel):
@@ -97,10 +97,10 @@ class TestDeviance:
 class TestDic:
     def test_constant_chain_pd_zero(self):
         rng = np.random.default_rng(3)
-        data, d = two_location_setup(rng)
+        data, _ = two_location_setup(rng)
         beta = rng.normal(size=(2, 2))
         sigma2 = np.array([1.0, 2.0])
-        post = constant_posterior(data, d, "exponential", 2.0, beta, sigma2)
+        post = constant_posterior(data, 2.0, beta, sigma2)
         a = dic(post, data)
         assert abs(a.p_d) < 1e-9
         ref = obs_deviance_oracle(data, post.locations, beta, sigma2)
@@ -131,9 +131,9 @@ class TestDic:
 
     def test_plug_in_uses_geometric_mean_sigma2(self):
         rng = np.random.default_rng(12)
-        data, d = two_location_setup(rng)
+        data, _ = two_location_setup(rng)
         beta = rng.normal(size=(2, 2))
-        post = constant_posterior(data, d, "exponential", 2.0, beta,
+        post = constant_posterior(data, 2.0, beta,
                                   np.array([0.5, 1.5]), T=6)
         post.beta = post.beta + rng.normal(scale=0.1, size=post.beta.shape)
         post.sigma2[3:] *= 4.0
@@ -155,8 +155,8 @@ class TestDic:
 
     def test_unknown_location_rejected(self):
         rng = np.random.default_rng(14)
-        data, d = two_location_setup(rng)
-        post = constant_posterior(data, d, "unity", 1.0,
+        data, _ = two_location_setup(rng)
+        post = constant_posterior(data, 1.0,
                                   np.zeros((2, 2)), np.ones(2))
         post.locations = ("a", "c")
         with pytest.raises(ValueError, match="locations without draws"):
@@ -164,8 +164,8 @@ class TestDic:
 
     def test_empty_chain_rejected(self):
         rng = np.random.default_rng(6)
-        data, d = two_location_setup(rng)
-        post = constant_posterior(data, d, "unity", 1.0,
+        data, _ = two_location_setup(rng)
+        post = constant_posterior(data, 1.0,
                                   np.zeros((2, 2)), np.ones(2), T=5)
         post.beta = post.beta[:0]
         with pytest.raises(ValueError, match="empty"):
@@ -175,10 +175,10 @@ class TestDic:
 class TestCpoLpml:
     def test_single_draw_equals_density(self):
         rng = np.random.default_rng(7)
-        data, d = two_location_setup(rng)
+        data, _ = two_location_setup(rng)
         beta = rng.normal(size=(2, 2))
         sigma2 = np.array([1.2, 0.5])
-        post = constant_posterior(data, d, "unity", 1.0, beta, sigma2, T=1)
+        post = constant_posterior(data, 1.0, beta, sigma2, T=1)
         a = cpo_lpml(post, data)
         loc_index = {s: k for k, s in enumerate(post.locations)}
         for i in range(data.n):
@@ -192,8 +192,7 @@ class TestCpoLpml:
         n = 50
         data = Dataset(y=rng.standard_normal(n), X=np.zeros((n, 1)) + 1e-12,
                        locations=("a",) * n)
-        d = DistanceMatrix(("a",), np.zeros((1, 1)))
-        post = constant_posterior(data, d, "unity", 1.0,
+        post = constant_posterior(data, 1.0,
                                   np.zeros((1, 1)), np.ones(1), T=10)
         a = cpo_lpml(post, data)
         ref = float(norm.logpdf(data.y).sum())
@@ -216,8 +215,8 @@ class TestCpoLpml:
 
     def test_unknown_location_rejected(self):
         rng = np.random.default_rng(14)
-        data, d = two_location_setup(rng)
-        post = constant_posterior(data, d, "unity", 1.0,
+        data, _ = two_location_setup(rng)
+        post = constant_posterior(data, 1.0,
                                   np.zeros((2, 2)), np.ones(2))
         post.locations = ("a", "c")
         with pytest.raises(ValueError, match="locations without draws"):
@@ -225,8 +224,8 @@ class TestCpoLpml:
 
     def test_lpml_invariant_under_permutation(self):
         rng = np.random.default_rng(10)
-        data, d = two_location_setup(rng)
-        post = constant_posterior(data, d, "unity", 1.0,
+        data, _ = two_location_setup(rng)
+        post = constant_posterior(data, 1.0,
                                   rng.normal(size=(2, 2)), np.ones(2), T=3)
         a = cpo_lpml(post, data)
         perm = rng.permutation(data.n)
@@ -269,11 +268,7 @@ def china_chain(china_d):
 
 @pytest.fixture(scope="module")
 def lattice_chain():
-    k = 16
-    labels = [f"r{i}c{j}" for i in range(k) for j in range(k)]
-    edges = ([(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(k - 1)]
-             + [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(k)])
-    return simulated_chain(graph_distances(build_graph(labels, edges)), 250, 40)
+    return simulated_chain(graph_distances(lattice_graph(16)), 250, 40)
 
 
 class TestDrawBlocks:
@@ -338,7 +333,7 @@ class TestDrawBlocks:
         post = GwrPosterior(locations=locs, beta=rng.normal(size=(T, L, p)),
                             sigma2=rng.gamma(2.0, size=(T, L)),
                             gamma=np.ones((T, p), dtype=int), b=np.ones(T),
-                            acceptance_rate_b=0.0)
+                            acceptance_rate_b=0.0, proposal_scale=np.nan)
         tracemalloc.start()
         try:
             a = assess(post, data)

@@ -5,14 +5,14 @@ import pytest
 from scipy.stats import kstest, multivariate_normal
 
 from bgwr import bayes_gwr
-from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _kernel_state,
-                            _shell_state, _weighted_rss, hpd_interval,
+from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _gibbs_layout,
+                            _kernel_state, _shell_state, _weighted_rss, hpd_interval,
                             posterior_summary, run_sampler, selected_model)
 from bgwr.spatial_graph import (DistanceMatrix, build_graph, euclidean_distances,
                                 graph_distances)
 from bgwr.suffstats import Dataset, block_stats, weighted_blocks
 from bgwr.weighting import WeightScheme, kernel_weight, log_kernel_weight
-from conftest import loglik_oracle, sampler_loglik
+from conftest import lattice_graph, loglik_oracle, reference_sampler, sampler_loglik
 
 
 def one_location_distance():
@@ -27,7 +27,7 @@ def make_posterior(gamma_freq, T=100):
         gamma[: int(round(f * T)), j] = 1
     return GwrPosterior(locations=("a",), beta=np.zeros((T, 1, p)),
                         sigma2=np.ones((T, 1)), gamma=gamma,
-                        b=np.full(T, 1.0), acceptance_rate_b=0.3)
+                        b=np.full(T, 1.0), acceptance_rate_b=0.3, proposal_scale=np.nan)
 
 
 class TestConfigValidation:
@@ -179,8 +179,13 @@ class TestLikelihoodCore:
                               counts, G, h, q)
         np.testing.assert_allclose(_weighted_rss(state, beta), (K * A).sum(axis=1),
                                    rtol=1e-10, atol=0)
-        np.testing.assert_array_equal(state["Mdiag"],
-                                      np.diagonal(state["M"], axis1=1, axis2=2))
+        Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
+        for j in range(data.p):
+            np.testing.assert_array_equal(Mt[j], state["M"][:, :, j].T)
+        np.testing.assert_array_equal(VT, state["V"].T)
+        np.testing.assert_array_equal(Mdiag, np.diagonal(state["M"], axis1=1, axis2=2).T)
+        np.testing.assert_array_equal(has_obs, Mdiag > 0)
+        assert all(a.flags.c_contiguous for a in (Mt, VT, Mdiag))
 
     def test_block_stats_match_per_location_masks(self):
         rng = np.random.default_rng(31)
@@ -216,7 +221,7 @@ class TestLikelihoodCore:
         got = _shell_state(scheme.kernel, shells, scheme.bandwidth)
         ref = _kernel_state(scheme.kernel, dsub, scheme.bandwidth, counts, G, h, q)
         assert got.keys() == ref.keys()
-        for field in ("npos", "sumlogw", "M", "V", "Kq", "Mdiag"):
+        for field in ("npos", "sumlogw", "M", "V", "Kq"):
             assert got[field].shape == ref[field].shape, field
             scale = np.abs(ref[field]).max()
             assert np.abs(got[field] - ref[field]).max() <= 1e-12 * scale, field
@@ -261,6 +266,70 @@ class TestLikelihoodCore:
         np.testing.assert_array_equal(shell.b, dense.b)
         np.testing.assert_allclose(shell.beta.mean(axis=0), dense.beta.mean(axis=0),
                                    rtol=0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def lattice_d():
+    return graph_distances(lattice_graph(5))
+
+
+def sweep_dataset(d, rows, p, seed, zero_at=None):
+    """``rows`` rows at every location of ``d``; ``zero_at`` names a location
+    whose rows get a zero second covariate."""
+    rng = np.random.default_rng(seed)
+    locations = tuple(s for s in d.labels for _ in range(rows))
+    X = rng.normal(size=(len(locations), p))
+    if zero_at is not None:
+        X[np.array(locations) == zero_at, 1] = 0.0
+    y = X @ np.linspace(2.0, 0.0, p) + rng.normal(size=len(locations))
+    return Dataset(y=y, X=X, locations=locations)
+
+
+SWEEP_CASES = {"sampled": {}, "no-selection": {"selection": False},
+               "fix-gamma": {"fix_gamma": (1, 0, 1, 0, 1)},
+               "tau-hyperprior": {"tau_hyperprior": True}, "fix-sigma2": {"fix_sigma2": 0.5},
+               "flat": {"flat_likelihood": True}, "fix-bandwidth": {"fix_bandwidth": 3.0}}
+
+
+class TestSweepOracle:
+    """run_sampler against reference_sampler (tests/conftest.py), which
+    updates one covariate at a time and draws the same random stream."""
+
+    @staticmethod
+    def assert_same_chain(data, d, kernel, cfg):
+        got = run_sampler(data, d, kernel, cfg)
+        ref = reference_sampler(data, d, kernel, cfg)
+        np.testing.assert_array_equal(got.gamma, ref.gamma)
+        np.testing.assert_array_equal(got.b, ref.b)
+        np.testing.assert_allclose(got.beta, ref.beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.sigma2, ref.sigma2, rtol=1e-12, atol=0)
+        assert got.acceptance_rate_b == ref.acceptance_rate_b
+        np.testing.assert_array_equal(got.proposal_scale, ref.proposal_scale)
+
+    @pytest.mark.parametrize("graph", ["china", "lattice"])
+    @pytest.mark.parametrize("case", SWEEP_CASES, ids=list(SWEEP_CASES))
+    def test_exponential(self, china_d, lattice_d, graph, case):
+        d = china_d if graph == "china" else lattice_d
+        data = sweep_dataset(d, rows=5, p=5, seed=40)
+        cfg = BayesConfig(tau2=0.01, chain_length=400, burn_in=200, seed=9,
+                          **SWEEP_CASES[case])
+        self.assert_same_chain(data, d, "exponential", cfg)
+
+    @pytest.mark.parametrize("graph", ["china", "lattice"])
+    @pytest.mark.parametrize("kernel", ["step", "bisquare"])
+    def test_location_without_covariate_mass(self, china_d, lattice_d, graph, kernel):
+        # b starts at D/2 < 1, where either kernel weighs a location's own
+        # rows only, so covariate 2 has no weighted mass at zero_at
+        d = china_d if graph == "china" else lattice_d
+        data = sweep_dataset(d, rows=8, p=3, seed=41, zero_at=d.labels[3])
+        cfg = BayesConfig(tau2=0.01, bandwidth_upper=1.5, chain_length=400,
+                          burn_in=200, seed=10)
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        state = _kernel_state(kernel, d.submatrix(locs), 0.75, counts, G, h, q)
+        has_obs = _gibbs_layout(state)[3]
+        assert not has_obs[1, locs.index(d.labels[3])] and has_obs.sum() == has_obs.size - 1
+        self.assert_same_chain(data, d, kernel, cfg)
 
 
 class TestConjugateExactness:
@@ -373,6 +442,10 @@ class TestSamplerContracts:
         post = self._fit(fix_gamma=(1, 0, 1))
         np.testing.assert_array_equal(post.gamma[0], (1, 0, 1))
         assert (post.gamma == post.gamma[0]).all()
+
+    def test_fix_gamma_must_be_binary(self):
+        with pytest.raises(ValueError, match="fix_gamma entries must be 0 or 1"):
+            self._fit(fix_gamma=(1, -1, 1))
 
     def test_fix_bandwidth_respected(self):
         post = self._fit(fix_bandwidth=3.5)

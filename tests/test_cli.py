@@ -213,6 +213,10 @@ class TestCliCommands:
         for name in ("posterior_summary.csv", "gamma_inclusion.csv", "b_trace.csv",
                      "chains.csv", "manifest.txt"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+        # the sampler's MH record is part of the same-seed contract
+        manifest = dataio.load_config(out1 / "manifest.txt")
+        assert 0 < float(manifest["mh_acceptance"]) < 1
+        assert 0 < float(manifest["proposal_scale"]) <= 50 * DEFAULTS["prior_D"]
 
     def test_simulate_same_seed_byte_identical(self, tmp_path):
         args = ["simulate", "--design", "constant", "--setting", "1",
@@ -283,7 +287,7 @@ class TestCliCommands:
         T, L, p = 3, china.n, 3
         post = GwrPosterior(locations=tuple(china.vertices), beta=np.zeros((T, L, p)),
                             sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
-                            b=np.ones(T), acceptance_rate_b=0.0)
+                            b=np.ones(T), acceptance_rate_b=0.0, proposal_scale=np.nan)
         chains = tmp_path / "chains.csv"
         dataio.write_chains(chains, post)
         aout = tmp_path / "assess"
@@ -319,7 +323,7 @@ class TestCliCommands:
         post = GwrPosterior(locations=("a", "b b", "c-1"), beta=beta, sigma2=sigma2,
                             gamma=rng.integers(0, 2, size=(T, p)),
                             b=np.array([0.5, -1e-20, 3.0, 1.2345678901234567e22]),
-                            acceptance_rate_b=0.5)
+                            acceptance_rate_b=0.5, proposal_scale=np.nan)
         def fmt(v):
             return format(v, ".17g")  # -inf keeps its sign
 
@@ -341,11 +345,12 @@ class TestCliCommands:
         beta[0, 1, 0], beta[1, 0, 1] = -np.inf, np.inf
         post = GwrPosterior(locations=("a", "b"), beta=beta, sigma2=np.ones((T, L)),
                             gamma=np.ones((T, p), dtype=int), b=np.array([1.0, 2.0]),
-                            acceptance_rate_b=0.5)
+                            acceptance_rate_b=0.5, proposal_scale=np.nan)
         path = tmp_path / "chains.csv"
         dataio.write_chains(path, post)
         back = dataio.read_chains(path)
         np.testing.assert_array_equal(back.beta, beta)
+        assert np.isnan(back.acceptance_rate_b) and np.isnan(back.proposal_scale)
         assert [dataio.fmt(v) for v in (-np.inf, np.inf, -0.5)] == ["-inf", "inf", "-0.5"]
 
     def test_assess_rejects_truncated_chains(self, tmp_path, china, capsys):
@@ -370,7 +375,7 @@ class TestCliCommands:
         L = len(locations)
         post = GwrPosterior(locations=locations, beta=np.zeros((T, L, p)),
                             sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
-                            b=np.ones(T), acceptance_rate_b=0.0)
+                            b=np.ones(T), acceptance_rate_b=0.0, proposal_scale=np.nan)
         chains = tmp_path / "chains.csv"
         dataio.write_chains(chains, post)
         aout = tmp_path / "assess"

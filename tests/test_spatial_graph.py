@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 from bgwr.spatial_graph import (GraphError, DistanceMatrix, build_graph,
                                 euclidean_distances, graph_distances, mds_embed)
 
-from conftest import floyd_warshall, random_graph
+from conftest import floyd_warshall, lattice_graph, random_graph
 
 
 class TestBuildGraph:
@@ -62,13 +62,22 @@ class TestGraphDistances:
 
     def test_lattice_matches_floyd_warshall(self):
         w = 12
-        ids = [f"r{i}c{j}" for i in range(w) for j in range(w)]
-        edges = ([(ids[i * w + j], ids[i * w + j + 1]) for i in range(w) for j in range(w - 1)]
-                 + [(ids[i * w + j], ids[(i + 1) * w + j]) for i in range(w - 1) for j in range(w)])
-        g = build_graph(ids, edges)
+        g = lattice_graph(w)
         d = graph_distances(g)
         np.testing.assert_array_equal(d.values, floyd_warshall(g))
         assert d.values.max() == 2 * (w - 1)
+
+    @pytest.mark.parametrize("tail", [0, 5])
+    def test_star_matches_floyd_warshall(self, tail):
+        # a hub of degree 40 among leaves of degree 1, an isolated vertex,
+        # and optionally a path hanging off one leaf
+        ids = [f"v{i}" for i in range(42 + tail)]
+        edges = ([(ids[0], ids[i]) for i in range(1, 41)]
+                 + [(ids[i], ids[i + 1]) for i in range(40, 40 + tail)])
+        g = build_graph(ids, edges)
+        d = graph_distances(g)
+        np.testing.assert_array_equal(d.values, floyd_warshall(g))
+        assert d.values[np.isfinite(d.values)].max() == 2 + tail
 
     def test_symmetric_zero_diagonal_triangle(self, china_d):
         v = china_d.values
@@ -179,6 +188,17 @@ class TestMds:
     def test_too_few_locations_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             mds_embed(DistanceMatrix(("a", "b"), np.array([[0., 1.], [1., 0.]])))
+
+
+def test_distance_matrix_label_lookup(china_d):
+    labels = list(reversed(china_d.labels[::3]))
+    idx = [china_d.labels.index(s) for s in labels]
+    assert [china_d.index(s) for s in labels] == idx
+    np.testing.assert_array_equal(china_d.submatrix(labels), china_d.values[np.ix_(idx, idx)])
+    with pytest.raises(KeyError, match="unknown location id: 'Atlantis'"):
+        china_d.submatrix(labels + ["Atlantis"])
+    with pytest.raises(ValueError, match="duplicate location id"):
+        DistanceMatrix(("a", "b", "a"), np.zeros((3, 3)))
 
 
 def test_distance_matrix_csv_round_trip(tmp_path):
