@@ -21,20 +21,30 @@ Update scheme per sweep:
   sweep and updated by M[:, :, j].T * delta after each beta_j draw, so one
   covariate costs a dot product, one uniform and L normal draws and a few
   elementwise operations;
-* sigma2(s) from its conjugate inverse-gamma conditional;
+* sigma2(s) from its conjugate inverse-gamma conditional, whose weighted
+  RSS Q_s = Kq_s - 2 beta_s . V_s + beta_s' M_s beta_s the Gibbs block
+  leaves behind: after the loop num - diag(M) beta_start = V - M beta, so
+  Q = Kq - sum_j beta_j (V_j + (V - M beta)_j);
 * optionally tau_j^2 from its inverse-gamma conditional (hyperprior variant);
 * b by random-walk Metropolis--Hastings, proposals folded back into (0, D)
   by reflection; the proposal scale adapts toward ~0.3 acceptance during
-  burn-in and is frozen afterwards.  The log ratio is one difference of
-  the two kernel states' log-likelihood terms, and the Gibbs block's
-  (p, L) layouts of the kernel state are derived only when a proposal is
-  accepted.
+  burn-in and is frozen afterwards.  When the distances take U < L
+  distinct values, as graph hop counts do, the block statistics are summed
+  per distance shell once per fit, and a bandwidth enters the likelihood
+  only through its U shell log weights.  One vector-matrix product per
+  sweep gives the U-vector r with sum_s Q_s(b) / sigma2_s = exp(lw(b)) . r
+  for every b, so a rejected proposal costs that product and U-length
+  arithmetic; the proposal's kernel state and the Gibbs block's (p, L)
+  layouts of it are built only when it is accepted.  Otherwise (Euclidean
+  distances) each proposal builds its dense kernel state and is scored by
+  the RSS core of ``suffstats``.
 
 Observations with weight zero at a location contribute nothing to that
 location's likelihood (sigma2 W^-1 is undefined at w = 0); the log-determinant
 runs over positive-weight rows only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,40 +148,117 @@ def _kernel_state(kernel, dsub, b, counts, G, h, q):
     return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V, "Kq": K @ q}
 
 
+@functools.cache
+def _triangle(p):
+    """The upper triangle of a p x p block in row-major order, (iu, ju);
+    a column of 1 on its diagonal and 2 off it; and the position in
+    that order of each of the p^2 entries, (i, j) and (j, i) alike."""
+    iu, ju = np.triu_indices(p)
+    tri = np.empty((p, p), dtype=np.intp)
+    tri[iu, ju] = tri[ju, iu] = np.arange(len(iu))
+    return iu, ju, np.where(iu == ju, 1.0, 2.0)[:, None], tri.ravel()
+
+
+def _shell_index(dsub):
+    """The U distinct finite distances u of ``dsub`` and, for every pair, the
+    position in u of its distance, U where it is not finite.
+
+    Integer distances in [0, L], such as graph hop counts, are ranked by a
+    bincount in O(L^2); other values take a sort.
+    """
+    L = len(dsub)
+    finite = np.isfinite(dsub)
+    x = np.where(finite, dsub, L)  # L also marks a pair that is not finite
+    if dsub.min() >= 0 and x.max() <= L and np.array_equal(xi := x.astype(np.intp), x):
+        bins = np.bincount(xi.ravel(), minlength=L + 1)
+        bins[L] -= finite.size - np.count_nonzero(finite)
+        seen = bins > 0
+        u = np.flatnonzero(seen).astype(float)
+        k = (np.cumsum(seen) - 1)[xi]
+        k[~finite] = len(u)
+        return u, k
+    u, k = np.unique(dsub.ravel(), return_inverse=True)
+    # non-finite values sort last, so their positions are >= U
+    return u[np.isfinite(u)], k.reshape(L, L)
+
+
 def _distance_shells(dsub, counts, G, h, q):
     """The block statistics summed over distance shells, or None when the
     distances are not shared enough to pay (U >= L distinct finite values).
 
-    Returns (p, u, T, n): the U distinct finite distances u, the tensor T of
-    shape (U, L, p^2+p+2) with T[k, s] the sum of [G_l | h_l | q_l | n_l]
-    over the l with dsub[s, l] == u[k], and its count plane n = T[:, :, -1].
+    Returns (p, u, T, n): the U distinct finite distances u, the tensor T
+    of shape (U, C, L), C = p(p+1)/2 + p + 1, with T[k, :, s] the sum of
+    [upper triangle of G_l (``_triangle`` order) | h_l | q_l] over the l
+    with dsub[s, l] == u[k], and the counts n[k, s] summed the same way.
     Unreachable pairs are left out, as every kernel gives them weight zero.
     Graph hop counts always qualify: U is the diameter plus one.
     """
-    finite = np.isfinite(dsub)
-    u, k = np.unique(dsub[finite], return_inverse=True)
+    u, k = _shell_index(dsub)
     L, U, p = len(dsub), len(u), G.shape[1]
     if U >= L:
         return None
-    s, l = np.nonzero(finite)
-    idx = k * L + s
-    stats = np.column_stack((G.reshape(L, p * p), h, q, counts)).T
-    T = np.stack([np.bincount(idx, weights=col[l], minlength=U * L) for col in stats])
-    T = np.ascontiguousarray(T.reshape(-1, U, L).transpose(1, 2, 0))
-    return p, u, T, np.ascontiguousarray(T[:, :, -1])
+    idx = (k * L + np.arange(L)[:, None]).ravel()  # bins >= U * L drop a pair
+
+    def shell_sum(col):
+        return np.bincount(idx, weights=np.tile(col, L), minlength=U * L)[:U * L].reshape(U, L)
+
+    iu, ju = _triangle(p)[:2]
+    T = np.empty((U, len(iu) + p + 1, L))
+    for c, col in enumerate(np.vstack((G[:, iu, ju].T, h.T, q))):
+        T[:, c] = shell_sum(col)
+    return p, u, T, shell_sum(counts)
 
 
-def _shell_state(kernel, shells, b):
-    """``_kernel_state`` from the shell tensor of ``_distance_shells``: U kernel
-    values and one vector-matrix product, O(L U p^2) instead of O(L^2 p^2)."""
-    p, u, T, n = shells
-    U, L, C = T.shape
+def _shell_weights(kernel, u, b):
+    """A bandwidth's U-vectors, from its log kernel weights lw at the shell
+    distances u: exp(lw), lw where finite (else 0) and the 0/1 indicator of
+    finite lw."""
     lw = log_kernel_weight(WeightScheme(kernel, b), u)
     pos = np.isfinite(lw)
-    S = (np.exp(lw) @ T.reshape(U, L * C)).reshape(L, C)
-    M = np.ascontiguousarray(S[:, :p * p]).reshape(L, p, p)
-    return {"b": b, "npos": pos @ n, "sumlogw": np.where(pos, lw, 0.0) @ n, "M": M,
-            "V": S[:, p * p:p * p + p], "Kq": S[:, -2]}
+    return np.exp(lw), np.where(pos, lw, 0.0), pos * 1.0
+
+
+def _shell_state(kernel, shells, b, weights=None):
+    """``_kernel_state`` from the shell tensor of ``_distance_shells``: U kernel
+    values (``weights``, when already known) and one vector-matrix product,
+    O(L U p^2) instead of O(L^2 p^2).  M is a view of (p, p, L) rows, the
+    layout ``_gibbs_layout`` then takes without a copy."""
+    p, u, T, n = shells
+    U, C, L = T.shape
+    w, lwf, pos = _shell_weights(kernel, u, b) if weights is None else weights
+    S = (w @ T.reshape(U, C * L)).reshape(C, L)
+    Mt = S[_triangle(p)[3]].reshape(p, p, L)
+    return {"b": b, "npos": pos @ n, "sumlogw": lwf @ n,
+            "M": Mt.transpose(2, 1, 0), "V": S[-p - 1:-1].T, "Kq": S[-1]}
+
+
+def _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi):
+    """The log-likelihood difference between two bandwidths, summed over
+    locations, at the same (beta, sigma2); ``cur`` and ``prop`` are their
+    ``_shell_weights``.
+
+    Q_s(b) = phi_s . S_s(b), where S_s(b) = exp(lw(b)) @ T[:, :, s] and
+    phi_s = [beta_i beta_j (doubled for i < j) | -2 beta_s | 1].  With the
+    (C, L) scratch ``phi`` filled with phi_s / sigma2_s, the one U-vector
+    r = T @ phi gives sum_s Q_s(b) / sigma2_s = exp(lw(b)) . r for every b,
+    so a rejected proposal costs one vector-matrix product and U-length
+    arithmetic.
+    """
+    p, u, T, n = shells
+    U, C, L = T.shape
+    iu, ju, twice, _ = _triangle(p)
+    scaled = betaT / sigma2
+    tri_rows = phi[:len(iu)]
+    np.take(betaT, iu, axis=0, out=tri_rows)
+    tri_rows *= scaled[ju] * twice
+    np.multiply(scaled, -2.0, out=phi[-p - 1:-1])
+    np.divide(1.0, sigma2, out=phi[-1])
+    r = T.reshape(U, C * L) @ phi.ravel()
+    w0, lwf0, pos0 = cur
+    w1, lwf1, pos1 = prop
+    dpos = pos1 - pos0  # nonzero only where a cutoff kernel gains or drops a shell
+    npos_term = float(dpos @ (n @ (LOG_2PI + np.log(sigma2)))) if dpos.any() else 0.0
+    return -0.5 * (npos_term - float((lwf1 - lwf0) @ n.sum(axis=1)) + float((w1 - w0) @ r))
 
 
 def _weighted_rss(state, beta):
@@ -238,12 +325,13 @@ def run_sampler(data, d, kernel, cfg):
     # the shell build pays off only over many bandwidths, i.e. when b is sampled
     shells = None if cfg.fix_bandwidth is not None else _distance_shells(dsub, counts, G, h, q)
 
-    def kernel_state(b):
-        if shells is None:
-            return _kernel_state(kernel, dsub, b, counts, G, h, q)
-        return _shell_state(kernel, shells, b)
-
-    state = kernel_state(b)
+    if shells is None:
+        state = _kernel_state(kernel, dsub, b, counts, G, h, q)
+    else:
+        # the current bandwidth's shell U-vectors, and the MH ratio's scratch
+        cur = _shell_weights(kernel, shells[1], b)
+        state = _shell_state(kernel, shells, b, cur)
+        phi = np.empty(shells[2].shape[1:])
     Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
@@ -296,8 +384,10 @@ def run_sampler(data, d, kernel, cfg):
             mean_factor = np.where(has_obs, 1.0 / (sigma2 * prec), 0.0)
             sd = 1.0 / np.sqrt(prec)
             # num[j] = V_j - sum_{k != j} M_jk beta_k, kept current as beta
-            # moves (row j goes stale once beta_j is drawn, unread)
-            num = VT - (Mt * betaT[:, None, :]).sum(axis=0) + Mdiag * betaT
+            # moves; every row takes every update, so after the loop
+            # num - diag_beta = V - M beta at the new beta
+            diag_beta = Mdiag * betaT
+            num = VT - (Mt * betaT[:, None, :]).sum(axis=0) + diag_beta
             for j in range(p):
                 nj = num[j]
                 if sample_gamma:
@@ -306,8 +396,8 @@ def run_sampler(data, d, kernel, cfg):
                 new_bj = nj * mean_factor[g, j] + rng.normal(size=L) * sd[g, j]
                 num -= Mt[j] * (new_bj - betaT[j])
                 betaT[j] = new_bj
-            # the current state's weighted RSS, shared by the sigma2 draw and MH
-            Q = _weighted_rss(state, beta)
+            # the current weighted RSS Kq - 2 beta.V + beta'M beta
+            Q = state["Kq"] - (betaT * (VT + num - diag_beta)).sum(axis=0)
 
         # --- sigma2(s) ----------------------------------------------------
         if cfg.fix_sigma2 is None:
@@ -331,17 +421,27 @@ def run_sampler(data, d, kernel, cfg):
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
             b_prop = _fold(state["b"] + prop_scale * rng.normal(), D)
-            prop_state = kernel_state(b_prop)
+            if shells is None:
+                prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h, q)
+            else:
+                # the proposal's full kernel state is built only on acceptance
+                prop = _shell_weights(kernel, shells[1], b_prop)
             if flat:
                 accept = True
             else:
                 # log-likelihood difference, summed over locations
-                log_ratio = -0.5 * (
-                    float((prop_state["npos"] - state["npos"]) @ (LOG_2PI + np.log(sigma2)))
-                    - float(np.sum(prop_state["sumlogw"] - state["sumlogw"]))
-                    + float(np.sum((_weighted_rss(prop_state, beta) - Q) / sigma2)))
+                if shells is None:
+                    log_ratio = -0.5 * (
+                        float((prop_state["npos"] - state["npos"]) @ (LOG_2PI + np.log(sigma2)))
+                        - float(np.sum(prop_state["sumlogw"] - state["sumlogw"]))
+                        + float(np.sum((_weighted_rss(prop_state, beta) - Q) / sigma2)))
+                else:
+                    log_ratio = _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi)
                 accept = math.log(rng.random()) < log_ratio
             if accept:
+                if shells is not None:
+                    cur = prop
+                    prop_state = _shell_state(kernel, shells, b_prop, prop)
                 state = prop_state
                 if not flat:
                     Mt, VT, Mdiag, has_obs = _gibbs_layout(state)

@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import dataio
 from .assessment import assess
 from .bayes_gwr import BayesConfig, posterior_summary, run_sampler
@@ -94,6 +96,18 @@ def _manifest(out, rc, extra=None):
     dataio.write_keyvalues(out.path("manifest.txt"), mapping)
 
 
+def _require_finite(what, locations, **fields):
+    """Refuse to write an estimate that is not finite: ValueError naming
+    each field, an (L, ...) array, and the locations where it is not."""
+    problems = []
+    for name, values in fields.items():
+        bad = ~np.isfinite(values).reshape(len(locations), -1).all(axis=1)
+        if bad.any():
+            problems.append(f"{name} at {[locations[k] for k in np.flatnonzero(bad)]}")
+    if problems:
+        raise ValueError(f"non-finite {what}: {'; '.join(problems)}")
+
+
 def cmd_distance(args, rc):
     graph = _load_graph(args)
     d = graph_distances(graph)
@@ -131,6 +145,7 @@ def cmd_fit(args, rc):
                 grid = default_bandwidth_grid(d)
                 b_star, table = select_bandwidth_grid(data, rc["kernel"], d, grid)
             fit = fit_all_locations(data, WeightScheme(rc["kernel"], b_star), d)
+            _require_finite("coefficient estimate", fit.locations, beta_hat=fit.beta_hat)
             dataio.write_coefficients(out.path("coefficients.csv"), fit)
             if table:
                 dataio.write_sse_table(out.path("sse_grid.csv"), table)
@@ -141,6 +156,9 @@ def cmd_fit(args, rc):
             cfg = _bayes_config(rc)
             post = run_sampler(data, d, rc["kernel"], cfg)
             summ = posterior_summary(post)
+            _require_finite("posterior summary", summ.locations, sigma2_mean=summ.sigma2_mean,
+                            beta_mean=summ.beta_mean, hpd_lower=summ.hpd_lower,
+                            hpd_upper=summ.hpd_upper)
             dataio.write_posterior_summary(out.path("posterior_summary.csv"), summ)
             dataio.write_gamma_table(out.path("gamma_inclusion.csv"), summ)
             dataio.write_b_trace(out.path("b_trace.csv"), post)

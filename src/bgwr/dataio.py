@@ -18,7 +18,7 @@ import numpy as np
 
 from .bayes_gwr import GwrPosterior
 from .spatial_graph import build_graph
-from .suffstats import Dataset, location_index
+from .suffstats import Dataset
 
 FLOAT_FMT = ".17g"
 
@@ -193,10 +193,14 @@ def read_chains(path):
     # columns draw, b, sigma2, beta_1..p, gamma_1..p; then the location column
     num = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2,
                      usecols=[0, *range(2, 4 + 2 * p)])
-    names = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
-                       usecols=1, dtype=str).tolist()
-    locations = tuple(dict.fromkeys(names))
-    k = location_index(names, locations)
+    # each row's location as an index, in order of first appearance, row for
+    # row as np.loadtxt read them: it skips empty lines only
+    first = {}
+    with open(path) as fh:
+        fh.readline()
+        k = np.array([first.setdefault(line.split(",", 2)[1], len(first))
+                      for line in fh if line != "\n"])
+    locations = tuple(first)
     t = num[:, 0].astype(int)
     if (t != num[:, 0]).any() or t.min() < 0:
         raise ValueError(f"{path}: draw index that is not a nonnegative integer")

@@ -6,8 +6,9 @@ from scipy.stats import kstest, multivariate_normal
 
 from bgwr import bayes_gwr
 from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _gibbs_layout,
-                            _kernel_state, _shell_state, _weighted_rss, hpd_interval,
-                            posterior_summary, run_sampler, selected_model)
+                            _kernel_state, _shell_log_ratio, _shell_state, _shell_weights,
+                            _total_loglik, _weighted_rss, hpd_interval, posterior_summary,
+                            run_sampler, selected_model)
 from bgwr.spatial_graph import (DistanceMatrix, build_graph, euclidean_distances,
                                 graph_distances)
 from bgwr.suffstats import Dataset, block_stats, weighted_blocks
@@ -330,6 +331,100 @@ class TestSweepOracle:
         has_obs = _gibbs_layout(state)[3]
         assert not has_obs[1, locs.index(d.labels[3])] and has_obs.sum() == has_obs.size - 1
         self.assert_same_chain(data, d, kernel, cfg)
+
+
+# (kernel, current b, proposed b): step and bisquare gain shells between the
+# two, and b = 0.002 underflows exp(lw) beyond the own location
+RATIO_CASES = [("unity", 1.0, 2.0), ("step", 1.5, 3.5), ("exponential", 2.0, 5.0),
+               ("exponential", 0.002, 0.5), ("exponential", 0.5, 0.002),
+               ("gaussian", 1.5, 3.0), ("bisquare", 1.5, 4.0), ("bisquare", 4.0, 1.5),
+               ("graph_exp", 0.002, 2.0)]
+
+
+class TestShellMH:
+    """The bandwidth step's shell identities against the dense kernel state."""
+
+    @pytest.mark.parametrize("graph", ["china", "lattice"])
+    @pytest.mark.parametrize("kernel,b0,b1", RATIO_CASES,
+                             ids=[f"{k}-{b0}-{b1}" for k, b0, b1 in RATIO_CASES])
+    def test_log_ratio_matches_dense_states(self, china_d, lattice_d, graph, kernel, b0, b1):
+        d = china_d if graph == "china" else lattice_d
+        data = sweep_dataset(d, rows=5, p=5, seed=42)
+        locs = data.unique_locations()
+        dsub = d.submatrix(locs)
+        G, h, q, counts = block_stats(data, locs)
+        rng = np.random.default_rng(43)
+        beta = rng.normal(size=(len(locs), 5))
+        sigma2 = rng.gamma(2.0, size=len(locs))
+
+        def loglik(b):
+            state = _kernel_state(kernel, dsub, b, counts, G, h, q)
+            return state, _total_loglik(state, _weighted_rss(state, beta), sigma2)
+
+        (s0, ll0), (s1, ll1) = loglik(b0), loglik(b1)
+        if kernel in ("step", "bisquare"):
+            assert (s0["npos"] != s1["npos"]).any()
+        shells = _distance_shells(dsub, counts, G, h, q)
+        u = shells[1]
+        phi = np.empty(shells[2].shape[1:])
+        got = _shell_log_ratio(shells, _shell_weights(kernel, u, b0),
+                               _shell_weights(kernel, u, b1), beta.T.copy(), sigma2, phi)
+        assert got == pytest.approx(ll1 - ll0, rel=1e-9, abs=0)
+
+    def test_sigma2_draw_reads_the_weighted_rss(self, china_d, monkeypatch):
+        # record the gamma variates of the sigma2 draws: sigma2 = (alpha2 +
+        # Q / 2) / g gives back the Q the sweep took from its Gibbs block
+        variates = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_gamma(self, shape):
+                variates.append(self.rng.standard_gamma(shape))
+                return variates[-1]
+
+        monkeypatch.setattr(bayes_gwr.np.random, "default_rng", Recorder)
+        data = sweep_dataset(china_d, rows=5, p=5, seed=44)
+        cfg = BayesConfig(tau2=0.01, chain_length=60, burn_in=0, seed=12)
+        post = run_sampler(data, china_d, "exponential", cfg)
+        assert 0 < post.acceptance_rate_b < 1
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        b_before = np.concatenate(([cfg.bandwidth_upper / 2.0], post.b[:-1]))
+        for t, g in enumerate(variates):
+            state = _kernel_state("exponential", china_d.submatrix(locs), b_before[t],
+                                  counts, G, h, q)
+            Q = 2.0 * (post.sigma2[t] * g - cfg.alpha2)
+            np.testing.assert_allclose(Q, _weighted_rss(state, post.beta[t]), rtol=1e-9)
+
+    @pytest.mark.parametrize("values,shells", [((2.0, 5.0, np.inf), (0.0, 2.0, 5.0)),
+                                               ((2.0, 6.0, 5.0, np.inf), (0.0, 2.0, 5.0, 6.0)),
+                                               ((0.5, 1.7, 0.5), (0.0, 0.5, 1.7))],
+                             ids=["integers-with-gaps", "integers-up-to-L",
+                                  "repeated-non-integers"])
+    @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
+    def test_shells_match_dense_state_on_other_distances(self, values, shells, scheme):
+        # 6 locations whose off-diagonal distances cycle through ``values``,
+        # inf an unreachable pair; 6 = L is still an integer shell
+        L = 6
+        rng = np.random.default_rng(45)
+        upper = np.triu(np.resize(values, (L, L)), 1)
+        dsub = upper + upper.T
+        data = Dataset(y=rng.normal(size=4 * L), X=rng.normal(size=(4 * L, 3)),
+                       locations=tuple(f"s{i % L}" for i in range(4 * L)))
+        G, h, q, counts = block_stats(data, data.unique_locations())
+        found = _distance_shells(dsub, counts, G, h, q)
+        np.testing.assert_array_equal(found[1], shells)
+        got = _shell_state(scheme.kernel, found, scheme.bandwidth)
+        ref = _kernel_state(scheme.kernel, dsub, scheme.bandwidth, counts, G, h, q)
+        for field in ("npos", "sumlogw", "M", "V", "Kq"):
+            scale = np.abs(ref[field]).max()
+            assert np.abs(got[field] - ref[field]).max() <= 1e-12 * scale, field
 
 
 class TestConjugateExactness:

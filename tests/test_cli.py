@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from bgwr import dataio
+from bgwr import cli, dataio
 from bgwr.assessment import assess
 from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
 from bgwr.cli import DEFAULTS, _resolve, build_parser, main
+from bgwr.freq_gwr import FreqFit
 from bgwr.spatial_graph import DistanceMatrix, graph_distances
 
 
@@ -241,6 +242,37 @@ class TestCliCommands:
         if out.exists():
             assert not os.listdir(out)
 
+    @pytest.mark.parametrize("method", ["bayes", "freq"])
+    def test_fit_refuses_non_finite_estimates(self, tmp_path, china, capsys, monkeypatch,
+                                              method):
+        data = synthetic_dataset_file(tmp_path / "d.csv", china)
+        locations = tuple(china.vertices)
+        bad = locations[4]
+        L, p, T = len(locations), 3, 5
+        beta = np.zeros((T, L, p))
+        beta[:, 4, 1] = np.nan
+
+        def sampler(*args):
+            return GwrPosterior(locations=locations, beta=beta, sigma2=np.ones((T, L)),
+                                gamma=np.ones((T, p), dtype=int), b=np.ones(T),
+                                acceptance_rate_b=0.5, proposal_scale=1.0)
+
+        def freq_fit(*args):
+            return FreqFit(locations=locations, beta_hat=beta[0], sse=np.nan,
+                           effective_params=3.0)
+
+        monkeypatch.setattr(cli, "run_sampler", sampler)
+        monkeypatch.setattr(cli, "fit_all_locations", freq_fit)
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data), "--out", str(out), "--method", method,
+                     "--kernel", "exponential", "--dump-chains"]
+                    + (["--bandwidth", "5.0"] if method == "freq" else [])) == 1
+        err = capsys.readouterr().err
+        what = "posterior summary" if method == "bayes" else "coefficient estimate"
+        assert f"bgwr: error: non-finite {what}" in err
+        assert repr(bad) in err and repr(locations[3]) not in err
+        assert not out.exists() or not os.listdir(out)
+
     def test_missing_data_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -352,6 +384,27 @@ class TestCliCommands:
         np.testing.assert_array_equal(back.beta, beta)
         assert np.isnan(back.acceptance_rate_b) and np.isnan(back.proposal_scale)
         assert [dataio.fmt(v) for v in (-np.inf, np.inf, -0.5)] == ["-inf", "inf", "-0.5"]
+
+    def test_read_chains_aligns_names_across_blank_lines(self, tmp_path):
+        T, L, p = 3, 3, 2
+        post = GwrPosterior(locations=("a", "b b", "c"),
+                            beta=np.arange(T * L * p, dtype=float).reshape(T, L, p),
+                            sigma2=np.arange(1.0, 1.0 + T * L).reshape(T, L),
+                            gamma=np.ones((T, p), dtype=int), b=np.array([1.0, 2.0, 3.0]),
+                            acceptance_rate_b=0.5, proposal_scale=np.nan)
+        path = tmp_path / "chains.csv"
+        dataio.write_chains(path, post)
+        lines = path.read_text().splitlines()
+        # empty lines inside the rows and after the last one
+        write_lines(path, lines[:3] + [""] + lines[3:5] + ["", ""] + lines[5:] + [""])
+        back = dataio.read_chains(path)
+        assert back.locations == post.locations
+        np.testing.assert_array_equal(back.beta, post.beta)
+        np.testing.assert_array_equal(back.sigma2, post.sigma2)
+        np.testing.assert_array_equal(back.b, post.b)
+        write_lines(path, lines[:1] + ["", "  "])
+        with pytest.raises(ValueError, match="empty chain dump"):
+            dataio.read_chains(path)
 
     def test_assess_rejects_truncated_chains(self, tmp_path, china, capsys):
         data_path = synthetic_dataset_file(tmp_path / "d.csv", china)

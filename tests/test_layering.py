@@ -3,10 +3,14 @@
 ``bgwr.suffstats`` holds the dataset and its per-location sufficient
 statistics and sits below every model: it imports no other bgwr module, and
 the frequentist fit and the assessment take the statistics from it rather
-than from the sampler.
+than from the sampler.  ``import bgwr`` loads numpy and the standard library
+only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +67,14 @@ def test_no_file_takes_dataset_from_freq_gwr():
                     and isinstance(node.value, ast.Name) and node.value.id == "freq_gwr"):
                 offenders.append(path.name)
     assert offenders == []
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # every run of the CLI pays for this import, compiled afresh when
+    # bytecode is not written, so a heavy dependency must not slip in
+    code = ("import sys; before = set(sys.modules); import bgwr; "
+            "print(*{m.partition('.')[0] for m in set(sys.modules) - before})")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert set(loaded) - set(sys.stdlib_module_names) - {"bgwr"} == {"numpy"}
