@@ -16,11 +16,16 @@ Update scheme per sweep:
   all p covariates, as (p, L) rows: the likelihood precision lam, the
   log Bayes-factor constant and t-statistic weight of the gamma_j draw, and
   for both gamma states the posterior-mean factor and standard deviation.
-  What they take from the other coefficients is the running (p, L) array
-  num, num[j] = V_j - sum_{k != j} M_jk beta_k, built at the start of the
-  sweep and updated by M[:, :, j].T * delta after each beta_j draw, so one
-  covariate costs a dot product, one uniform and L normal draws and a few
-  elementwise operations;
+  What they take from b alone is derived once per accepted bandwidth: the
+  (p, L) layouts of M and V, 0.5 / diag(M) (guarded where it is zero), the
+  mask of where diag(M) > 0 (kept only when it is somewhere false) and the
+  sigma2 draw's shape alpha1 + npos / 2 (a scalar when it is the same at
+  every location); what they take from tau2 alone, the prior variances and
+  their reciprocals, only when tau2 changes.  What they take from the other
+  coefficients is the running (p, L) array num, num[j] = V_j - sum_{k != j}
+  M_jk beta_k, built at the start of the sweep and updated by
+  M[:, :, j].T * delta after each beta_j draw, so one covariate costs a dot
+  product, one uniform and L normal draws and a few elementwise operations;
 * sigma2(s) from its conjugate inverse-gamma conditional, whose weighted
   RSS Q_s = Kq_s - 2 beta_s . V_s + beta_s' M_s beta_s the Gibbs block
   leaves behind: after the loop num - diag(M) beta_start = V - M beta, so
@@ -186,10 +191,11 @@ def _distance_shells(dsub, counts, G, h, q):
     """The block statistics summed over distance shells, or None when the
     distances are not shared enough to pay (U >= L distinct finite values).
 
-    Returns (p, u, T, n): the U distinct finite distances u, the tensor T
-    of shape (U, C, L), C = p(p+1)/2 + p + 1, with T[k, :, s] the sum of
-    [upper triangle of G_l (``_triangle`` order) | h_l | q_l] over the l
-    with dsub[s, l] == u[k], and the counts n[k, s] summed the same way.
+    Returns (p, u, T, n, n_shell): the U distinct finite distances u, the
+    tensor T of shape (U, C, L), C = p(p+1)/2 + p + 1, with T[k, :, s] the
+    sum of [upper triangle of G_l (``_triangle`` order) | h_l | q_l] over the
+    l with dsub[s, l] == u[k], the counts n[k, s] summed the same way, and
+    n_shell = n.sum(axis=1), each shell's count over all locations.
     Unreachable pairs are left out, as every kernel gives them weight zero.
     Graph hop counts always qualify: U is the diameter plus one.
     """
@@ -206,15 +212,18 @@ def _distance_shells(dsub, counts, G, h, q):
     T = np.empty((U, len(iu) + p + 1, L))
     for c, col in enumerate(np.vstack((G[:, iu, ju].T, h.T, q))):
         T[:, c] = shell_sum(col)
-    return p, u, T, shell_sum(counts)
+    n = shell_sum(counts)
+    return p, u, T, n, n.sum(axis=1)
 
 
 def _shell_weights(kernel, u, b):
     """A bandwidth's U-vectors, from its log kernel weights lw at the shell
     distances u: exp(lw), lw where finite (else 0) and the 0/1 indicator of
-    finite lw."""
+    finite lw, None when every lw is finite."""
     lw = log_kernel_weight(WeightScheme(kernel, b), u)
     pos = np.isfinite(lw)
+    if pos.all():
+        return np.exp(lw), lw, None
     return np.exp(lw), np.where(pos, lw, 0.0), pos * 1.0
 
 
@@ -223,12 +232,13 @@ def _shell_state(kernel, shells, b, weights=None):
     values (``weights``, when already known) and one vector-matrix product,
     O(L U p^2) instead of O(L^2 p^2).  M is a view of (p, p, L) rows, the
     layout ``_gibbs_layout`` then takes without a copy."""
-    p, u, T, n = shells
+    p, u, T, n, _ = shells
     U, C, L = T.shape
     w, lwf, pos = _shell_weights(kernel, u, b) if weights is None else weights
     S = (w @ T.reshape(U, C * L)).reshape(C, L)
     Mt = S[_triangle(p)[3]].reshape(p, p, L)
-    return {"b": b, "npos": pos @ n, "sumlogw": lwf @ n,
+    npos = n.sum(axis=0) if pos is None else pos @ n
+    return {"b": b, "npos": npos, "sumlogw": lwf @ n,
             "M": Mt.transpose(2, 1, 0), "V": S[-p - 1:-1].T, "Kq": S[-1]}
 
 
@@ -244,7 +254,7 @@ def _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi):
     so a rejected proposal costs one vector-matrix product and U-length
     arithmetic.
     """
-    p, u, T, n = shells
+    p, u, T, n, n_shell = shells
     U, C, L = T.shape
     iu, ju, twice, _ = _triangle(p)
     scaled = betaT / sigma2
@@ -256,9 +266,13 @@ def _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi):
     r = T.reshape(U, C * L) @ phi.ravel()
     w0, lwf0, pos0 = cur
     w1, lwf1, pos1 = prop
-    dpos = pos1 - pos0  # nonzero only where a cutoff kernel gains or drops a shell
-    npos_term = float(dpos @ (n @ (LOG_2PI + np.log(sigma2)))) if dpos.any() else 0.0
-    return -0.5 * (npos_term - float((lwf1 - lwf0) @ n.sum(axis=1)) + float((w1 - w0) @ r))
+    npos_term = 0.0
+    if pos0 is not None or pos1 is not None:
+        # nonzero only where a cutoff kernel gains or drops a shell
+        dpos = (1.0 if pos1 is None else pos1) - (1.0 if pos0 is None else pos0)
+        if dpos.any():
+            npos_term = float(dpos @ (n @ (LOG_2PI + np.log(sigma2))))
+    return -0.5 * (npos_term - float((lwf1 - lwf0) @ n_shell) + float((w1 - w0) @ r))
 
 
 def _weighted_rss(state, beta):
@@ -273,13 +287,21 @@ def _total_loglik(state, Q, sigma2):
                                - state["sumlogw"] + Q / sigma2))
 
 
-def _gibbs_layout(state):
-    """The kernel state as the Gibbs block reads it, (p, L) rows contiguous:
-    Mt[j] = M[:, :, j].T, V.T, the diagonal of M and where it is positive.
-    Derived once per accepted bandwidth."""
+def _gibbs_layout(state, alpha1):
+    """The kernel state as the Gibbs block reads it, derived once per
+    accepted bandwidth: Mt[j] = M[:, :, j].T, V.T and the diagonal of M as
+    contiguous (p, L) rows; 0.5 / diag(M), with 0.5 where the diagonal is 0;
+    the mask of where it is positive, None when it is everywhere; and the
+    sigma2 draw's shape alpha1 + npos / 2, a float when it is the same at
+    every location."""
     M = state["M"]
     diag = np.diagonal(M, axis1=1, axis2=2).T.copy()
-    return np.ascontiguousarray(M.transpose(2, 1, 0)), state["V"].T.copy(), diag, diag > 0
+    mass = diag > 0
+    shape = alpha1 + state["npos"] / 2.0
+    if (shape == shape[0]).all():
+        shape = float(shape[0])
+    return (np.ascontiguousarray(M.transpose(2, 1, 0)), state["V"].T.copy(), diag,
+            0.5 / np.where(mass, diag, 1.0), None if mass.all() else mass, shape)
 
 
 def _coin(rng, log_odds):
@@ -332,7 +354,7 @@ def run_sampler(data, d, kernel, cfg):
         cur = _shell_weights(kernel, shells[1], b)
         state = _shell_state(kernel, shells, b, cur)
         phi = np.empty(shells[2].shape[1:])
-    Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
+    Mt, VT, Mdiag, half_inv_diag, mass, sigma2_shape = _gibbs_layout(state, cfg.alpha1)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
     betaT = np.linalg.solve(ridge, state["V"][..., None])[..., 0].T.copy()
@@ -355,34 +377,40 @@ def run_sampler(data, d, kernel, cfg):
     accepted_post = 0
 
     def prior_variances():
-        """v[g, j], the prior variance of beta_j(.) under gamma_j = g."""
+        """v[g, j, 0], the prior variance of beta_j(.) under gamma_j = g, and
+        its reciprocal."""
         if not cfg.selection:
-            return np.full((2, p), cfg.slab_only_var)
-        return np.stack((tau2, cfg.c2 * tau2))
+            v = np.full((2, p, 1), cfg.slab_only_var)
+        else:
+            v = np.stack((tau2, cfg.c2 * tau2))[:, :, None]
+        return v, 1.0 / v
 
-    v = prior_variances()
+    v, inv_v = prior_variances()
     for t in range(cfg.chain_length):
         # --- (gamma_j, beta_j(.)) blocked updates -------------------------
         if flat:
             for j in range(p):
                 if sample_gamma:
                     gamma[j] = _coin(rng, logit_prior)
-                betaT[j] = rng.normal(0.0, math.sqrt(v[gamma[j], j]), size=L)
+                betaT[j] = rng.normal(0.0, math.sqrt(v[gamma[j], j, 0]), size=L)
         else:
             # fixed while sigma2, b and tau2 are, for all p covariates at
             # once; the (2, p, L) arrays are indexed [gamma_j, j]
             lam = Mdiag / sigma2  # 0 where Mdiag = 0, as Mdiag >= 0
-            lv = lam * v[:, :, None]
-            log1p_lv = np.log1p(lv)
-            inv_lv1 = 1.0 / (lv + 1.0)
-            # log odds of slab vs spike, beta_j integrated out:
-            # log_odds[j] + sum_s w[j, s] num[j, s]^2; lam = 0 makes w = 0
-            # where Mdiag = 0, and the guarded divisor keeps 0/0 out
-            log_odds = (logit_prior - 0.5 * (log1p_lv[1] - log1p_lv[0]).sum(axis=1)).tolist()
-            w = -0.5 * (inv_lv1[1] - inv_lv1[0]) / (np.where(has_obs, Mdiag, 1.0) * sigma2)
-            prec = lam + 1.0 / v[:, :, None]
-            mean_factor = np.where(has_obs, 1.0 / (sigma2 * prec), 0.0)
+            lv = lam * v
+            prec = lam + inv_v
+            mean_factor = 1.0 / (sigma2 * prec)
+            if mass is not None:
+                mean_factor *= mass  # 0 where Mdiag = 0
             sd = 1.0 / np.sqrt(prec)
+            if sample_gamma:
+                # log odds of slab vs spike, beta_j integrated out:
+                # log_odds[j] + sum_s w[j, s] num[j, s]^2; lam = 0 makes
+                # w = 0 where Mdiag = 0
+                log1p_lv = np.log1p(lv)
+                inv_lv1 = 1.0 / (lv + 1.0)
+                log_odds = (logit_prior - 0.5 * (log1p_lv[1] - log1p_lv[0]).sum(axis=1)).tolist()
+                w = (inv_lv1[0] - inv_lv1[1]) * half_inv_diag / sigma2
             # num[j] = V_j - sum_{k != j} M_jk beta_k, kept current as beta
             # moves; every row takes every update, so after the loop
             # num - diag_beta = V - M beta at the new beta
@@ -391,8 +419,12 @@ def run_sampler(data, d, kernel, cfg):
             for j in range(p):
                 nj = num[j]
                 if sample_gamma:
-                    gamma[j] = _coin(rng, log_odds[j] + float(nj @ (nj * w[j])))
-                g = gamma[j]
+                    # _coin, inlined: the call would cost more than its arithmetic
+                    u = rng.random()
+                    g = int(math.log(u) - math.log1p(-u) < log_odds[j] + float(nj @ (nj * w[j])))
+                    gamma[j] = g
+                else:
+                    g = gamma[j]
                 new_bj = nj * mean_factor[g, j] + rng.normal(size=L) * sd[g, j]
                 num -= Mt[j] * (new_bj - betaT[j])
                 betaT[j] = new_bj
@@ -407,16 +439,16 @@ def run_sampler(data, d, kernel, cfg):
                                np.finfo(float).tiny)
                 sigma2 = 1.0 / g
             else:
-                shape = cfg.alpha1 + state["npos"] / 2.0
+                # the same variates whether the shape is a float or an L-vector
                 rate = cfg.alpha2 + Q / 2.0
-                sigma2 = rate / rng.standard_gamma(shape)
+                sigma2 = rate / rng.standard_gamma(sigma2_shape, size=L)
 
         # --- tau_j^2 hyperprior -------------------------------------------
         if cfg.tau_hyperprior and cfg.selection:
             scale_div = np.where(gamma == 1, cfg.c2, 1.0)
             rate = cfg.alpha2 + 0.5 * (betaT ** 2).sum(axis=1) / scale_div
             tau2 = rate / rng.standard_gamma(cfg.alpha1 + L / 2.0, size=p)
-            v = prior_variances()
+            v, inv_v = prior_variances()
 
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
@@ -444,7 +476,8 @@ def run_sampler(data, d, kernel, cfg):
                     prop_state = _shell_state(kernel, shells, b_prop, prop)
                 state = prop_state
                 if not flat:
-                    Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
+                    Mt, VT, Mdiag, half_inv_diag, mass, sigma2_shape = _gibbs_layout(
+                        state, cfg.alpha1)
                 adapt_accepts += 1
                 if t >= cfg.burn_in:
                     accepted_post += 1

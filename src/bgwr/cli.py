@@ -96,12 +96,18 @@ def _manifest(out, rc, extra=None):
     dataio.write_keyvalues(out.path("manifest.txt"), mapping)
 
 
-def _require_finite(what, locations, **fields):
+def _require_finite(what, locations=None, **fields):
     """Refuse to write an estimate that is not finite: ValueError naming
-    each field, an (L, ...) array, and the locations where it is not."""
+    each field that is not and, when ``locations`` labels the rows of
+    (L, ...) arrays, the locations where it is not."""
     problems = []
     for name, values in fields.items():
-        bad = ~np.isfinite(values).reshape(len(locations), -1).all(axis=1)
+        finite = np.isfinite(values)
+        if locations is None:
+            if not finite.all():
+                problems.append(name)
+            continue
+        bad = ~finite.reshape(len(locations), -1).all(axis=1)
         if bad.any():
             problems.append(f"{name} at {[locations[k] for k in np.flatnonzero(bad)]}")
     if problems:
@@ -216,6 +222,9 @@ def cmd_assess(args, rc):
     out = _OutputTracker(args.out)
     try:
         a = assess(post, data)
+        _require_finite("assessment", dic=a.dic, p_d=a.p_d, lpml=a.lpml,
+                        mean_deviance=a.mean_deviance,
+                        deviance_at_mean=a.deviance_at_mean, log_cpo=a.log_cpo)
         dataio.write_keyvalues(out.path("assessment.csv"), {
             "dic": a.dic, "p_d": a.p_d, "lpml": a.lpml,
             "mean_deviance": a.mean_deviance,

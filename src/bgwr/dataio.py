@@ -217,7 +217,9 @@ def read_chains(path):
     sigma2[t, k] = num[:, 2]
     b[t] = num[:, 1]
     gamma[t] = num[:, 3 + p:]
-    if (b[t] != num[:, 1]).any() or (gamma[t] != num[:, 3 + p:]).any():
+    # one column at a time: gamma[t] whole would be an (n_rows, p) int array
+    if (b[t] != num[:, 1]).any() or any((gamma[t, j] != num[:, 3 + p + j]).any()
+                                        for j in range(p)):
         raise ValueError(f"{path}: rows of one draw disagree on b or gamma")
     return GwrPosterior(locations=locations, beta=beta, sigma2=sigma2,
                         gamma=gamma, b=b, acceptance_rate_b=float("nan"),

@@ -55,10 +55,12 @@ def log_kernel_weight(scheme, distance):
     exp(-d/b) underflows to exactly 0 for d/b beyond ~745, which would make a
     structurally positive weight look like a dropped observation; likelihood
     code must therefore work from log weights.  Structural zeros (step and
-    bisquare cutoffs, unreachable pairs) map to -inf.
+    bisquare cutoffs, unreachable pairs) map to -inf: an infinite distance
+    does so through each formula at a finite bandwidth, and is mapped
+    explicitly for unity and for an infinite or NaN bandwidth.
     """
     d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("negative distance")
     b = scheme.bandwidth
     k = scheme.kernel
@@ -67,7 +69,7 @@ def log_kernel_weight(scheme, distance):
     elif k == "step":
         lw = np.where(d <= b, 0.0, -np.inf)
     elif k == "exponential":
-        lw = -d / b
+        lw = d / -b
     elif k == "gaussian":
         lw = -((d / b) ** 2)
     elif k == "bisquare":
@@ -75,9 +77,10 @@ def log_kernel_weight(scheme, distance):
         with np.errstate(divide="ignore"):
             lw = np.where(d < b, 2.0 * np.log1p(-r2), -np.inf)
     else:  # graph_exp
-        lw = np.where(d <= 1.0, 0.0, -d / b)
-    lw = np.where(np.isinf(d), -np.inf, lw)
-    if np.ndim(distance) == 0:
+        lw = np.where(d <= 1.0, 0.0, d / -b)
+    if k == "unity" or not b < np.inf:
+        lw = np.where(np.isinf(d), -np.inf, lw)
+    if d.ndim == 0:
         return float(lw)
     return lw
 

@@ -180,12 +180,17 @@ class TestLikelihoodCore:
                               counts, G, h, q)
         np.testing.assert_allclose(_weighted_rss(state, beta), (K * A).sum(axis=1),
                                    rtol=1e-10, atol=0)
-        Mt, VT, Mdiag, has_obs = _gibbs_layout(state)
+        Mt, VT, Mdiag, half_inv_diag, mass, shape = _gibbs_layout(state, 0.01)
         for j in range(data.p):
             np.testing.assert_array_equal(Mt[j], state["M"][:, :, j].T)
         np.testing.assert_array_equal(VT, state["V"].T)
         np.testing.assert_array_equal(Mdiag, np.diagonal(state["M"], axis1=1, axis2=2).T)
-        np.testing.assert_array_equal(has_obs, Mdiag > 0)
+        has_obs = Mdiag > 0
+        assert mass is None if has_obs.all() else np.array_equal(mass, has_obs)
+        np.testing.assert_array_equal(half_inv_diag, 0.5 / np.where(has_obs, Mdiag, 1.0))
+        np.testing.assert_array_equal(np.broadcast_to(shape, (len(locs),)),
+                                      0.01 + state["npos"] / 2.0)
+        assert isinstance(shape, float) == (state["npos"] == state["npos"][0]).all()
         assert all(a.flags.c_contiguous for a in (Mt, VT, Mdiag))
 
     def test_block_stats_match_per_location_masks(self):
@@ -328,9 +333,66 @@ class TestSweepOracle:
         locs = data.unique_locations()
         G, h, q, counts = block_stats(data, locs)
         state = _kernel_state(kernel, d.submatrix(locs), 0.75, counts, G, h, q)
-        has_obs = _gibbs_layout(state)[3]
-        assert not has_obs[1, locs.index(d.labels[3])] and has_obs.sum() == has_obs.size - 1
+        mass = _gibbs_layout(state, cfg.alpha1)[4]
+        assert not mass[1, locs.index(d.labels[3])] and mass.sum() == mass.size - 1
         self.assert_same_chain(data, d, kernel, cfg)
+
+    @staticmethod
+    def uneven_npos_case(china_d, case):
+        """A chain whose sigma2 shape alpha1 + npos / 2 differs across
+        locations: the step kernel on China with b in (0, 3), where b >= 1
+        reaches as many rows as a location has neighbours and b < 1 its own
+        rows only, or the exponential kernel on a graph with an isolated
+        vertex, whose rows no other location reaches."""
+        if case == "step-china":
+            d, kernel, upper = china_d, "step", 3.0
+        else:
+            d = graph_distances(build_graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"),
+                                                        ("d", "e"), ("e", "f"), ("a", "f")]))
+            kernel, upper = "exponential", 10.0
+        data = sweep_dataset(d, rows=5, p=3, seed=46)
+        # no burn-in, so that the draws show the start at b = upper / 2
+        cfg = BayesConfig(tau2=0.01, bandwidth_upper=upper, chain_length=400, burn_in=0,
+                          seed=13)
+        locs = data.unique_locations()
+        G, h, q, counts = block_stats(data, locs)
+        state = _kernel_state(kernel, d.submatrix(locs), upper / 2.0, counts, G, h, q)
+        assert not isinstance(_gibbs_layout(state, cfg.alpha1)[5], float)
+        return data, d, kernel, cfg
+
+    @pytest.mark.parametrize("case", ["step-china", "isolated-vertex"])
+    def test_sigma2_shape_uneven_across_locations(self, china_d, case):
+        data, d, kernel, cfg = self.uneven_npos_case(china_d, case)
+        post = run_sampler(data, d, kernel, cfg)
+        if case == "step-china":  # b crosses 1, so the chain takes both shape forms
+            assert (post.b < 1).any() and (post.b >= 1).any()
+        self.assert_same_chain(data, d, kernel, cfg)
+
+    @pytest.mark.parametrize("case", ["step-china", "isolated-vertex"])
+    def test_scalar_shape_forced_is_caught(self, china_d, monkeypatch, case):
+        # drawing every sigma2 with the first location's shape must break
+        # the agreement with the oracle
+        data, d, kernel, cfg = self.uneven_npos_case(china_d, case)
+        layout = bayes_gwr._gibbs_layout
+
+        def first_shape(state, alpha1):
+            *rest, shape = layout(state, alpha1)
+            return (*rest, float(np.ravel(shape)[0]))
+
+        monkeypatch.setattr(bayes_gwr, "_gibbs_layout", first_shape)
+        with pytest.raises(AssertionError):
+            self.assert_same_chain(data, d, kernel, cfg)
+
+    @pytest.mark.parametrize("shape", [0.01, 0.7, 2.505, 75.01])
+    def test_scalar_shape_gamma_draw_is_the_vector_draw(self, shape):
+        # the sampler draws sigma2 with a float shape when it is the same at
+        # every location: same variates, same generator state afterwards
+        L = 30
+        a, b = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(200):
+            np.testing.assert_array_equal(a.standard_gamma(shape, size=L),
+                                          b.standard_gamma(np.full(L, shape)))
+        assert a.random() == b.random()
 
 
 # (kernel, current b, proposed b): step and bisquare gain shells between the
@@ -384,8 +446,8 @@ class TestShellMH:
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-            def standard_gamma(self, shape):
-                variates.append(self.rng.standard_gamma(shape))
+            def standard_gamma(self, shape, size=None):
+                variates.append(self.rng.standard_gamma(shape, size=size))
                 return variates[-1]
 
         monkeypatch.setattr(bayes_gwr.np.random, "default_rng", Recorder)

@@ -273,6 +273,34 @@ class TestCliCommands:
         assert repr(bad) in err and repr(locations[3]) not in err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("field", ["dic", "p_d", "lpml", "mean_deviance",
+                                       "deviance_at_mean", "log_cpo"])
+    def test_assess_refuses_non_finite_output(self, tmp_path, china, capsys, monkeypatch,
+                                              field):
+        data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
+        T, L, p = 3, china.n, 3
+        post = GwrPosterior(locations=tuple(china.vertices), beta=np.zeros((T, L, p)),
+                            sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
+                            b=np.ones(T), acceptance_rate_b=0.0, proposal_scale=np.nan)
+        chains = tmp_path / "chains.csv"
+        dataio.write_chains(chains, post)
+
+        def nan_assess(*args):
+            a = assess(*args)
+            if field == "log_cpo":
+                a.log_cpo[7] = np.nan
+            else:
+                setattr(a, field, np.nan)
+            return a
+
+        monkeypatch.setattr(cli, "assess", nan_assess)
+        aout = tmp_path / "assess"
+        assert main(["assess", "--data", str(data_path), "--chains", str(chains),
+                     "--kernel", "exponential", "--out", str(aout)]) == 1
+        err = capsys.readouterr().err
+        assert f"bgwr: error: non-finite assessment: {field}\n" in err
+        assert not aout.exists() or not os.listdir(aout)
+
     def test_missing_data_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1

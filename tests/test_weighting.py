@@ -113,6 +113,50 @@ class TestLogKernelWeight:
         assert np.isneginf(log_kernel_weight(WeightScheme("unity"), UNREACHABLE))
 
 
+# the log weight at a NaN distance under each kernel: NaN passes through the
+# formulas, and a comparison with NaN is false
+NAN_LOG_WEIGHT = {"unity": 0.0, "step": -np.inf, "exponential": np.nan,
+                  "gaussian": np.nan, "bisquare": -np.inf, "graph_exp": np.nan}
+
+
+class TestLogKernelWeightEdges:
+    """The input checks and the infinite-distance mapping of
+    ``log_kernel_weight``, at every kernel."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("b", [0.002, 2.5, 1e300, np.inf])
+    def test_infinite_distance_maps_to_neg_inf(self, kernel, b):
+        s = scheme_for(kernel, b)
+        # at b = inf the formulas meet inf / inf, which numpy warns about
+        with np.errstate(invalid="ignore" if b == np.inf else "raise"):
+            lw = log_kernel_weight(s, np.array([[0.0, 1.5], [np.inf, 7.0]]))
+            assert log_kernel_weight(s, np.inf) == -np.inf
+        assert np.isneginf(lw[1, 0])
+        assert np.isfinite(lw[0, 0]) and not np.isnan(lw).any()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_negative_distance_raises(self, kernel):
+        s = scheme_for(kernel, 2.5)
+        for d in (-0.5, np.array([0.0, 3.0, -1e-300]), np.array([[1.0], [-np.inf]])):
+            with pytest.raises(ValueError, match="negative distance"):
+                log_kernel_weight(s, d)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_nan_distance_passes_through(self, kernel):
+        s = scheme_for(kernel, 2.5)
+        lw = log_kernel_weight(s, np.array([np.nan, 0.0]))
+        np.testing.assert_array_equal(lw, [NAN_LOG_WEIGHT[kernel], 0.0])
+        np.testing.assert_array_equal(log_kernel_weight(s, np.nan), NAN_LOG_WEIGHT[kernel])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_scalar_input_returns_float(self, kernel):
+        s = scheme_for(kernel, 2.5)
+        for d in (1.0, 3, np.float64(1.0), np.array(1.0), np.inf):
+            assert type(log_kernel_weight(s, d)) is float
+        lw = log_kernel_weight(s, np.ones((2, 3)))
+        assert isinstance(lw, np.ndarray) and lw.shape == (2, 3)
+
+
 class TestWeightMatrix:
     def _distance(self):
         values = np.array([[0., 1., 2.], [1., 0., 1.], [2., 1., 0.]])
