@@ -33,29 +33,30 @@ Update scheme per sweep:
 * optionally tau_j^2 from its inverse-gamma conditional (hyperprior variant);
 * b by random-walk Metropolis--Hastings, proposals folded back into (0, D)
   by reflection; the proposal scale adapts toward ~0.3 acceptance during
-  burn-in and is frozen afterwards.  When the distances take U < L
-  distinct values, as graph hop counts do, the block statistics are summed
-  per distance shell once per fit, and a bandwidth enters the likelihood
-  only through its U shell log weights.  One vector-matrix product per
-  sweep gives the U-vector r with sum_s Q_s(b) / sigma2_s = exp(lw(b)) . r
-  for every b, so a rejected proposal costs that product and U-length
-  arithmetic; the proposal's kernel state and the Gibbs block's (p, L)
-  layouts of it are built only when it is accepted.  Otherwise (Euclidean
-  distances) each proposal builds its dense kernel state and is scored by
-  the RSS core of ``suffstats``.
+  burn-in and is frozen afterwards.  A bandwidth enters the likelihood only
+  through the kernel weights of a set of cells, each gathering packed
+  block statistics (``suffstats.packed_stats``) at one distance: the U
+  distance shells when the distances take U < L distinct values, as graph
+  hop counts do, and b is sampled, else the L x L location pairs.  A
+  proposal costs its kernel weights, their one product with the cells'
+  statistics, which gives its (C, L) weighted statistics S(b), and O(C L)
+  arithmetic, as sum_s Q_s(b) / sigma2_s = sum(phi * S(b)) for the (C, L)
+  rows phi of the current (beta, sigma2); the kernel state and the Gibbs
+  block's (p, L) layouts of it are derived from S(b) only when the
+  proposal is accepted.
 
 Observations with weight zero at a location contribute nothing to that
 location's likelihood (sigma2 W^-1 is undefined at w = 0); the log-determinant
 runs over positive-weight rows only.
 """
 
-import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .suffstats import block_stats, rss, weighted_blocks
+from .suffstats import _triangle, block_stats, packed_stats, rss, unpack
 from .weighting import WeightScheme, log_kernel_weight
 
 MH_TARGET_ACCEPT = 0.3
@@ -95,12 +96,15 @@ class BayesConfig:
     flat_likelihood: bool = False
 
     def __post_init__(self):
-        if self.tau2 <= 0 or self.c2 <= 1:
+        # each test is written so that NaN fails it
+        if not (self.tau2 > 0 and self.c2 > 1):
             raise ValueError("require tau2 > 0 and c2 > 1")
         if not 0 < self.inclusion_prior < 1:
             raise ValueError("inclusion_prior must be in (0, 1)")
-        if self.bandwidth_upper <= 0:
-            raise ValueError("bandwidth upper limit D must be positive")
+        if not 0 < self.bandwidth_upper < math.inf:
+            raise ValueError("bandwidth upper limit D must be positive and finite")
+        if not (self.alpha1 > 0 and self.alpha2 > 0 and self.slab_only_var > 0):
+            raise ValueError("require alpha1 > 0, alpha2 > 0 and slab_only_var > 0")
         if not 0 <= self.burn_in < self.chain_length:
             raise ValueError("require 0 <= burn_in < chain_length")
         if self.fix_sigma2 is not None and not self.fix_sigma2 > 0:
@@ -136,34 +140,6 @@ class PosteriorSummary:
     b_mean: float
 
 
-def _kernel_state(kernel, dsub, b, counts, G, h, q):
-    """Everything that depends on the bandwidth: the weighted blocks M and V,
-    the weighted response norms Kq and the log-det terms.
-
-    Positivity is judged on the analytic log weights so that underflowed
-    (but structurally positive) weights keep their observations in the
-    likelihood with the exact log-weight penalty.
-    """
-    logK = log_kernel_weight(WeightScheme(kernel, b), dsub)
-    K = np.exp(logK)
-    pos = np.isfinite(logK)
-    npos = pos @ counts
-    sumlogw = np.where(pos, logK, 0.0) @ counts
-    M, V = weighted_blocks(K, G, h)
-    return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V, "Kq": K @ q}
-
-
-@functools.cache
-def _triangle(p):
-    """The upper triangle of a p x p block in row-major order, (iu, ju);
-    a column of 1 on its diagonal and 2 off it; and the position in
-    that order of each of the p^2 entries, (i, j) and (j, i) alike."""
-    iu, ju = np.triu_indices(p)
-    tri = np.empty((p, p), dtype=np.intp)
-    tri[iu, ju] = tri[ju, iu] = np.arange(len(iu))
-    return iu, ju, np.where(iu == ju, 1.0, 2.0)[:, None], tri.ravel()
-
-
 def _shell_index(dsub):
     """The U distinct finite distances u of ``dsub`` and, for every pair, the
     position in u of its distance, U where it is not finite.
@@ -187,20 +163,25 @@ def _shell_index(dsub):
     return u[np.isfinite(u)], k.reshape(L, L)
 
 
-def _distance_shells(dsub, counts, G, h, q):
-    """The block statistics summed over distance shells, or None when the
-    distances are not shared enough to pay (U >= L distinct finite values).
+# The bandwidth step's cells, each at one distance u and so sharing one kernel
+# weight: x @ n sums a cell vector x (shaped like u) per location, n_loc is that
+# sum of ones, and weigh takes cell weights w to the (C, L) weighted packed
+# statistics.
+_Cells = namedtuple("_Cells", "p u n n_loc weigh")
 
-    Returns (p, u, T, n, n_shell): the U distinct finite distances u, the
-    tensor T of shape (U, C, L), C = p(p+1)/2 + p + 1, with T[k, :, s] the
-    sum of [upper triangle of G_l (``_triangle`` order) | h_l | q_l] over the
-    l with dsub[s, l] == u[k], the counts n[k, s] summed the same way, and
-    n_shell = n.sum(axis=1), each shell's count over all locations.
+
+def _distance_shells(dsub, counts, G, h, q):
+    """The cells as distance shells, or None when the distances are not
+    shared enough to pay (U >= L distinct finite values).
+
+    The U distinct finite distances u are the cells; T[k, :, s] sums the
+    ``packed_stats`` columns of the l with dsub[s, l] == u[k], and n[k, s]
+    their counts, so weighing is one product with T.
     Unreachable pairs are left out, as every kernel gives them weight zero.
     Graph hop counts always qualify: U is the diameter plus one.
     """
     u, k = _shell_index(dsub)
-    L, U, p = len(dsub), len(u), G.shape[1]
+    L, U = len(dsub), len(u)
     if U >= L:
         return None
     idx = (k * L + np.arange(L)[:, None]).ravel()  # bins >= U * L drop a pair
@@ -208,54 +189,66 @@ def _distance_shells(dsub, counts, G, h, q):
     def shell_sum(col):
         return np.bincount(idx, weights=np.tile(col, L), minlength=U * L)[:U * L].reshape(U, L)
 
-    iu, ju = _triangle(p)[:2]
-    T = np.empty((U, len(iu) + p + 1, L))
-    for c, col in enumerate(np.vstack((G[:, iu, ju].T, h.T, q))):
-        T[:, c] = shell_sum(col)
+    T = np.stack([shell_sum(col) for col in packed_stats(G, h, q)], axis=1).reshape(U, -1)
     n = shell_sum(counts)
-    return p, u, T, n, n.sum(axis=1)
+    return _Cells(G.shape[1], u, n, n.sum(axis=0), lambda w: (w @ T).reshape(-1, L))
 
 
-def _shell_weights(kernel, u, b):
-    """A bandwidth's U-vectors, from its log kernel weights lw at the shell
-    distances u: exp(lw), lw where finite (else 0) and the 0/1 indicator of
-    finite lw, None when every lw is finite."""
-    lw = log_kernel_weight(WeightScheme(kernel, b), u)
+def _location_pairs(dsub, counts, G, h, q):
+    """The cells as location pairs, cell (s, l) at distance dsub[s, l]: the
+    weights are the (L, L) kernel matrix w, weighed as stats @ w.T."""
+    stats = packed_stats(G, h, q)
+    return _Cells(G.shape[1], dsub, counts, np.full(len(dsub), counts.sum()),
+                  lambda w: stats @ w.T)
+
+
+def _cell_layout(dsub, counts, G, h, q, sampled):
+    """The distance shells when b is sampled and they pay (the shell build
+    pays off only over many bandwidths), else the location pairs."""
+    shells = _distance_shells(dsub, counts, G, h, q) if sampled else None
+    return _location_pairs(dsub, counts, G, h, q) if shells is None else shells
+
+
+def _weighed_stats(kernel, cells, b):
+    """A bandwidth's (C, L) weighted packed statistics S, one weighing of its
+    kernel weights at the cell distances, and its log-det terms at every
+    location: npos, the count of rows with positive weight (``cells.n_loc``
+    itself when every weight is positive), and sumlogw, the sum of their log
+    weights.
+
+    Positivity is judged on the analytic log weights so that underflowed
+    (but structurally positive) weights keep their observations in the
+    likelihood with the exact log-weight penalty.
+    """
+    lw = log_kernel_weight(WeightScheme(kernel, b), cells.u)
     pos = np.isfinite(lw)
+    S = cells.weigh(np.exp(lw))
     if pos.all():
-        return np.exp(lw), lw, None
-    return np.exp(lw), np.where(pos, lw, 0.0), pos * 1.0
+        return S, cells.n_loc, lw @ cells.n
+    return S, pos @ cells.n, np.where(pos, lw, 0.0) @ cells.n
 
 
-def _shell_state(kernel, shells, b, weights=None):
-    """``_kernel_state`` from the shell tensor of ``_distance_shells``: U kernel
-    values (``weights``, when already known) and one vector-matrix product,
-    O(L U p^2) instead of O(L^2 p^2).  M is a view of (p, p, L) rows, the
-    layout ``_gibbs_layout`` then takes without a copy."""
-    p, u, T, n, _ = shells
-    U, C, L = T.shape
-    w, lwf, pos = _shell_weights(kernel, u, b) if weights is None else weights
-    S = (w @ T.reshape(U, C * L)).reshape(C, L)
-    Mt = S[_triangle(p)[3]].reshape(p, p, L)
-    npos = n.sum(axis=0) if pos is None else pos @ n
-    return {"b": b, "npos": npos, "sumlogw": lwf @ n,
-            "M": Mt.transpose(2, 1, 0), "V": S[-p - 1:-1].T, "Kq": S[-1]}
+def _kernel_state(kernel, cells, b, weighed=None):
+    """Everything that depends on the bandwidth, from its ``_weighed_stats``
+    (``weighed``, when already known): the weighted blocks M and V (M in the
+    layout ``_gibbs_layout`` takes without a copy), the weighted response
+    norms Kq and the log-det terms."""
+    S, npos, sumlogw = _weighed_stats(kernel, cells, b) if weighed is None else weighed
+    M, V, Kq = unpack(S, cells.p)
+    return {"b": b, "npos": npos, "sumlogw": sumlogw, "M": M, "V": V, "Kq": Kq}
 
 
-def _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi):
+def _log_ratio(cur, prop, betaT, sigma2, phi):
     """The log-likelihood difference between two bandwidths, summed over
     locations, at the same (beta, sigma2); ``cur`` and ``prop`` are their
-    ``_shell_weights``.
+    ``_weighed_stats``.
 
-    Q_s(b) = phi_s . S_s(b), where S_s(b) = exp(lw(b)) @ T[:, :, s] and
-    phi_s = [beta_i beta_j (doubled for i < j) | -2 beta_s | 1].  With the
-    (C, L) scratch ``phi`` filled with phi_s / sigma2_s, the one U-vector
-    r = T @ phi gives sum_s Q_s(b) / sigma2_s = exp(lw(b)) . r for every b,
-    so a rejected proposal costs one vector-matrix product and U-length
-    arithmetic.
+    Q_s(b) = phi_s . S_s(b) with phi_s = [beta_i beta_j (doubled for i < j)
+    | -2 beta_s | 1]; the (C, L) scratch ``phi`` is filled with phi_s /
+    sigma2_s, so the weighted RSS term costs C L arithmetic and neither
+    bandwidth needs its (L, p, p) blocks.
     """
-    p, u, T, n, n_shell = shells
-    U, C, L = T.shape
+    p = len(betaT)
     iu, ju, twice, _ = _triangle(p)
     scaled = betaT / sigma2
     tri_rows = phi[:len(iu)]
@@ -263,16 +256,11 @@ def _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi):
     tri_rows *= scaled[ju] * twice
     np.multiply(scaled, -2.0, out=phi[-p - 1:-1])
     np.divide(1.0, sigma2, out=phi[-1])
-    r = T.reshape(U, C * L) @ phi.ravel()
-    w0, lwf0, pos0 = cur
-    w1, lwf1, pos1 = prop
-    npos_term = 0.0
-    if pos0 is not None or pos1 is not None:
-        # nonzero only where a cutoff kernel gains or drops a shell
-        dpos = (1.0 if pos1 is None else pos1) - (1.0 if pos0 is None else pos0)
-        if dpos.any():
-            npos_term = float(dpos @ (n @ (LOG_2PI + np.log(sigma2))))
-    return -0.5 * (npos_term - float((lwf1 - lwf0) @ n_shell) + float((w1 - w0) @ r))
+    S0, npos0, sumlogw0 = cur
+    S1, npos1, sumlogw1 = prop
+    # npos moves only where a cutoff kernel gains or drops a cell
+    npos_term = 0.0 if npos1 is npos0 else float((npos1 - npos0) @ (LOG_2PI + np.log(sigma2)))
+    return -0.5 * (npos_term - float(np.sum(sumlogw1 - sumlogw0)) + float(np.vdot(phi, S1 - S0)))
 
 
 def _weighted_rss(state, beta):
@@ -344,16 +332,11 @@ def run_sampler(data, d, kernel, cfg):
     tau2 = np.full(p, cfg.tau2)
     b = cfg.fix_bandwidth if cfg.fix_bandwidth is not None else D / 2.0
 
-    # the shell build pays off only over many bandwidths, i.e. when b is sampled
-    shells = None if cfg.fix_bandwidth is not None else _distance_shells(dsub, counts, G, h, q)
-
-    if shells is None:
-        state = _kernel_state(kernel, dsub, b, counts, G, h, q)
-    else:
-        # the current bandwidth's shell U-vectors, and the MH ratio's scratch
-        cur = _shell_weights(kernel, shells[1], b)
-        state = _shell_state(kernel, shells, b, cur)
-        phi = np.empty(shells[2].shape[1:])
+    cells = _cell_layout(dsub, counts, G, h, q, cfg.fix_bandwidth is None)
+    # the current bandwidth's weighed statistics, and the MH ratio's (C, L) scratch
+    cur = _weighed_stats(kernel, cells, b)
+    state = _kernel_state(kernel, cells, b, cur)
+    phi = np.empty_like(cur[0])
     Mt, VT, Mdiag, half_inv_diag, mass, sigma2_shape = _gibbs_layout(state, cfg.alpha1)
     # deterministic start: ridge-stabilized WLS coefficients, residual variance
     ridge = state["M"] + 1e-8 * np.eye(p)
@@ -453,28 +436,16 @@ def run_sampler(data, d, kernel, cfg):
         # --- bandwidth by folded random-walk MH ---------------------------
         if cfg.fix_bandwidth is None:
             b_prop = _fold(state["b"] + prop_scale * rng.normal(), D)
-            if shells is None:
-                prop_state = _kernel_state(kernel, dsub, b_prop, counts, G, h, q)
-            else:
-                # the proposal's full kernel state is built only on acceptance
-                prop = _shell_weights(kernel, shells[1], b_prop)
+            # the proposal's kernel state is built only on acceptance
+            prop = _weighed_stats(kernel, cells, b_prop)
             if flat:
                 accept = True
             else:
-                # log-likelihood difference, summed over locations
-                if shells is None:
-                    log_ratio = -0.5 * (
-                        float((prop_state["npos"] - state["npos"]) @ (LOG_2PI + np.log(sigma2)))
-                        - float(np.sum(prop_state["sumlogw"] - state["sumlogw"]))
-                        + float(np.sum((_weighted_rss(prop_state, beta) - Q) / sigma2)))
-                else:
-                    log_ratio = _shell_log_ratio(shells, cur, prop, betaT, sigma2, phi)
+                log_ratio = _log_ratio(cur, prop, betaT, sigma2, phi)
                 accept = math.log(rng.random()) < log_ratio
             if accept:
-                if shells is not None:
-                    cur = prop
-                    prop_state = _shell_state(kernel, shells, b_prop, prop)
-                state = prop_state
+                cur = prop
+                state = _kernel_state(kernel, cells, b_prop, prop)
                 if not flat:
                     Mt, VT, Mdiag, half_inv_diag, mass, sigma2_shape = _gibbs_layout(
                         state, cfg.alpha1)

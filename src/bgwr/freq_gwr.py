@@ -4,8 +4,8 @@ SSE-grid bandwidth selection, and the effective number of parameters.
 Every location is fitted at once from the block statistics the sampler also
 uses (``suffstats.block_stats``).  With K[s, l] the kernel weight between
 locations s and l, the normal equations at s read
-(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l;
-``suffstats.weighted_blocks`` forms them for all s and one batched
+(sum_l K[s, l] X_l'X_l) beta_s = sum_l K[s, l] X_l'y_l; one product of the
+``suffstats.packed_stats`` rows with K forms them for all s, and one batched
 ``np.linalg.solve`` solves them.  A zero weight (kernel cutoff, unreachable
 pair, exp underflow) drops location l's rows from the system at s, exactly as
 a dropped row of the weighted design would.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .suffstats import block_stats, location_index, weighted_blocks
+from .suffstats import block_stats, location_index, packed_stats, unpack
 from .weighting import WeightScheme, kernel_weight
 # unused here; kept as a module attribute for the benchmark's tracer bindings
 from .weighting import weight_matrix  # noqa: F401
@@ -67,16 +67,19 @@ def _solve(locations, M, rhs, n_pos, p):
 
 def _prepare(data, d):
     """The bandwidth-free part of a fit: location order, each row's location
-    index, block statistics and the location-by-location distances."""
+    index, the Gram blocks and row counts, the packed statistics and the
+    location-by-location distances."""
     locs = data.unique_locations()
-    return locs, location_index(data.locations, locs), block_stats(data, locs), d.submatrix(locs)
+    G, h, q, counts = block_stats(data, locs)
+    return (locs, location_index(data.locations, locs), G, counts, packed_stats(G, h, q),
+            d.submatrix(locs))
 
 
 def _fit(data, scheme, prepared):
     """Coefficients (L, p), SSE and hat-matrix trace under one scheme."""
-    locs, own, (G, h, _, counts), dsub = prepared
+    locs, own, G, counts, packed, dsub = prepared
     K = kernel_weight(scheme, dsub)
-    M, V = weighted_blocks(K, G, h)
+    M, V, _ = unpack(packed @ K.T, data.p)
     # the right-hand side X'W(s)y, then X_s'X_s for the trace
     rhs = np.concatenate([V[:, :, None], G], axis=2)
     sol = _solve(locs, M, rhs, (K > 0) @ counts, data.p)

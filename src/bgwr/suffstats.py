@@ -3,8 +3,11 @@
 The sampler's weighted likelihood, the DIC's deviance and the frequentist
 normal equations read the data only through, per location l, G_l = X_l'X_l,
 h_l = X_l'y_l, q_l = y_l'y_l and the row count n_l, all laid out here.
+Every kernel-weighted sum of them is one product with the rows of
+``packed_stats``, which ``unpack`` reads back as X'W(s)X, X'W(s)y, y'W(s)y.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +84,35 @@ def block_stats(data, locations):
     return G, h, q, np.diff(bounds).astype(float)
 
 
-def weighted_blocks(K, G, h):
-    """X'W(s)X = sum_l K[s, l] G_l and X'W(s)y = sum_l K[s, l] h_l at every
-    location s, from (L, L) weights K and the Gram blocks and cross products
-    of ``block_stats``."""
-    L, p, _ = G.shape
-    return (K @ G.reshape(L, p * p)).reshape(-1, p, p), K @ h
+@functools.cache
+def _triangle(p):
+    """The upper triangle of a p x p block in row-major order, (iu, ju);
+    a column of 1 on its diagonal and 2 off it; and the position in
+    that order of each of the p^2 entries, (i, j) and (j, i) alike."""
+    iu, ju = np.triu_indices(p)
+    tri = np.empty((p, p), dtype=np.intp)
+    tri[iu, ju] = tri[ju, iu] = np.arange(len(iu))
+    return iu, ju, np.where(iu == ju, 1.0, 2.0)[:, None], tri.ravel()
+
+
+def packed_stats(G, h, q):
+    """The (C, L) rows [upper triangle of G_l (``_triangle`` order) | h_l |
+    q_l], C = p(p+1)/2 + p + 1, from the statistics of ``block_stats``; any
+    kernel-weighted sum of them is one product with these rows."""
+    iu, ju = _triangle(G.shape[1])[:2]
+    return np.vstack((G[:, iu, ju].T, h.T, q))
+
+
+def unpack(S, p):
+    """X'W(s)X, X'W(s)y and y'W(s)y at every s, (M, V, Kq), from the (C, L)
+    weighted ``packed_stats`` columns S; M (L, p, p) is a view of (p, p, L) rows."""
+    M = S[_triangle(p)[3]].reshape(p, p, -1).transpose(2, 1, 0)
+    return M, S[-p - 1:-1].T, S[-1]
 
 
 def rss(beta, G, h, q):
     """q - 2 beta . h + beta' G beta per location, from plain (``block_stats``)
-    or kernel-weighted (``weighted_blocks``) statistics; ``beta`` is
+    or kernel-weighted (``unpack``) statistics; ``beta`` is
     (..., L, p), and its leading axes (draws) are kept."""
     Gbeta = (G @ beta[..., None])[..., 0]
     return q + np.einsum("...lp,...lp->...l", beta, Gbeta - 2.0 * h)

@@ -34,9 +34,9 @@ class WeightScheme:
             if self.bandwidth is None:
                 raise ValueError(f"kernel {self.kernel!r} requires a bandwidth")
             if self.kernel == "step":
-                if self.bandwidth < 0:
+                if not self.bandwidth >= 0:
                     raise ValueError("step threshold must be nonnegative")
-            elif self.bandwidth <= 0:
+            elif not self.bandwidth > 0:
                 raise ValueError("bandwidth must be positive")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from bgwr.assessment import _obs_deviance
 from bgwr.bayes_gwr import (MH_ADAPT_FACTOR, MH_ADAPT_WINDOW, MH_TARGET_ACCEPT, GwrPosterior,
-                            _distance_shells, _kernel_state, _shell_state, _total_loglik,
+                            _cell_layout, _kernel_state, _location_pairs, _total_loglik,
                             _weighted_rss)
 from bgwr.dataio import china_graph
 from bgwr.spatial_graph import build_graph, graph_distances
@@ -83,7 +83,7 @@ def sampler_loglik(data, d, kernel, b, beta, sigma2):
     ``data.unique_locations()`` order."""
     locs = data.unique_locations()
     G, h, q, counts = block_stats(data, locs)
-    state = _kernel_state(kernel, d.submatrix(locs), b, counts, G, h, q)
+    state = _kernel_state(kernel, _location_pairs(d.submatrix(locs), counts, G, h, q), b)
     Q = _weighted_rss(state, np.asarray(beta, dtype=float))
     return _total_loglik(state, Q, np.asarray(sigma2, dtype=float))
 
@@ -147,19 +147,14 @@ def reference_sampler(data, d, kernel, cfg):
     gamma = np.ones(p, dtype=int) if cfg.fix_gamma is None else np.asarray(cfg.fix_gamma, dtype=int)
     tau2 = np.full(p, cfg.tau2)
     b = cfg.fix_bandwidth if cfg.fix_bandwidth is not None else D / 2.0
-    shells = None if cfg.fix_bandwidth is not None else _distance_shells(dsub, counts, G, h, q)
-
-    def kernel_state(b):
-        if shells is None:
-            return _kernel_state(kernel, dsub, b, counts, G, h, q)
-        return _shell_state(kernel, shells, b)
+    cells = _cell_layout(dsub, counts, G, h, q, cfg.fix_bandwidth is None)
 
     def fold(x):
         period = 2.0 * D
         x = np.abs(x) % period
         return period - x if x > D else x
 
-    state = kernel_state(b)
+    state = _kernel_state(kernel, cells, b)
     ridge = state["M"] + 1e-8 * np.eye(p)
     beta = np.linalg.solve(ridge, state["V"][..., None])[..., 0]
     Q = _weighted_rss(state, beta)
@@ -231,7 +226,7 @@ def reference_sampler(data, d, kernel, cfg):
 
         if cfg.fix_bandwidth is None:
             b_prop = fold(state["b"] + prop_scale * rng.normal())
-            prop_state = kernel_state(b_prop)
+            prop_state = _kernel_state(kernel, cells, b_prop)
             if flat:
                 accept = True
             else:

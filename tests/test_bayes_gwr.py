@@ -5,13 +5,13 @@ import pytest
 from scipy.stats import kstest, multivariate_normal
 
 from bgwr import bayes_gwr
-from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _distance_shells, _gibbs_layout,
-                            _kernel_state, _shell_log_ratio, _shell_state, _shell_weights,
-                            _total_loglik, _weighted_rss, hpd_interval, posterior_summary,
-                            run_sampler, selected_model)
+from bgwr.bayes_gwr import (BayesConfig, GwrPosterior, _cell_layout, _distance_shells,
+                            _gibbs_layout, _kernel_state, _location_pairs, _log_ratio,
+                            _total_loglik, _weighed_stats, _weighted_rss, hpd_interval,
+                            posterior_summary, run_sampler, selected_model)
 from bgwr.spatial_graph import (DistanceMatrix, build_graph, euclidean_distances,
                                 graph_distances)
-from bgwr.suffstats import Dataset, block_stats, weighted_blocks
+from bgwr.suffstats import Dataset, block_stats, packed_stats, unpack
 from bgwr.weighting import WeightScheme, kernel_weight, log_kernel_weight
 from conftest import lattice_graph, loglik_oracle, reference_sampler, sampler_loglik
 
@@ -31,14 +31,19 @@ def make_posterior(gamma_freq, T=100):
                         b=np.full(T, 1.0), acceptance_rate_b=0.3, proposal_scale=np.nan)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 class TestConfigValidation:
     def test_bad_tau2(self):
-        with pytest.raises(ValueError):
-            BayesConfig(tau2=0.0)
+        for value in (0.0, NAN):
+            with pytest.raises(ValueError):
+                BayesConfig(tau2=value)
 
     def test_bad_c2(self):
-        with pytest.raises(ValueError):
-            BayesConfig(c2=1.0)
+        for value in (1.0, NAN):
+            with pytest.raises(ValueError):
+                BayesConfig(c2=value)
 
     def test_bad_inclusion_prior(self):
         with pytest.raises(ValueError):
@@ -49,8 +54,16 @@ class TestConfigValidation:
             BayesConfig(chain_length=100, burn_in=100)
 
     def test_bad_bandwidth_upper(self):
-        with pytest.raises(ValueError):
-            BayesConfig(bandwidth_upper=0.0)
+        # an infinite D would be recorded as the bandwidth itself
+        for value in (0.0, INF, NAN):
+            with pytest.raises(ValueError):
+                BayesConfig(bandwidth_upper=value)
+
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "slab_only_var"])
+    def test_bad_prior_scale(self, field):
+        for value in (0.0, -1.0, NAN):
+            with pytest.raises(ValueError, match=field):
+                BayesConfig(**{field: value})
 
     def test_nonpositive_fix_sigma2(self):
         # the flat chain never evaluates the likelihood, so only the config
@@ -176,8 +189,8 @@ class TestLikelihoodCore:
         A = np.array([[np.sum((data.y[rows] - data.X[rows] @ beta[s]) ** 2)
                        for rows in (np.array(data.locations) == l for l in locs)]
                       for s in range(len(locs))])
-        state = _kernel_state(scheme.kernel, d.submatrix(locs), scheme.bandwidth,
-                              counts, G, h, q)
+        state = _kernel_state(scheme.kernel, _location_pairs(d.submatrix(locs), counts, G, h, q),
+                              scheme.bandwidth)
         np.testing.assert_allclose(_weighted_rss(state, beta), (K * A).sum(axis=1),
                                    rtol=1e-10, atol=0)
         Mt, VT, Mdiag, half_inv_diag, mass, shape = _gibbs_layout(state, 0.01)
@@ -211,8 +224,8 @@ class TestLikelihoodCore:
 
     @pytest.mark.parametrize("scheme", CORE_SCHEMES, ids=CORE_IDS)
     def test_weighted_blocks_match_einsum(self, scheme):
-        _, _, _, _, (G, h, _, _), K = self.setup_case(scheme)
-        M, V = weighted_blocks(K, G, h)
+        _, _, _, _, (G, h, q, _), K = self.setup_case(scheme)
+        M, V, _ = unpack(packed_stats(G, h, q) @ K.T, G.shape[1])
         ref = np.einsum("sl,lij->sij", K, G)
         assert M.shape == ref.shape
         assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -224,8 +237,9 @@ class TestLikelihoodCore:
         dsub = d.submatrix(locs)
         shells = _distance_shells(dsub, counts, G, h, q)
         assert shells is not None  # hop counts 0-3 over 5 locations
-        got = _shell_state(scheme.kernel, shells, scheme.bandwidth)
-        ref = _kernel_state(scheme.kernel, dsub, scheme.bandwidth, counts, G, h, q)
+        got = _kernel_state(scheme.kernel, shells, scheme.bandwidth)
+        ref = _kernel_state(scheme.kernel, _location_pairs(dsub, counts, G, h, q),
+                            scheme.bandwidth)
         assert got.keys() == ref.keys()
         for field in ("npos", "sumlogw", "M", "V", "Kq"):
             assert got[field].shape == ref[field].shape, field
@@ -238,8 +252,8 @@ class TestLikelihoodCore:
         dsub = d.submatrix(locs)
         logK = log_kernel_weight(scheme, dsub)
         assert ((K == 0) & np.isfinite(logK)).any()  # d/b = 1000 > 745
-        state = _shell_state(scheme.kernel, _distance_shells(dsub, counts, G, h, q),
-                             scheme.bandwidth)
+        state = _kernel_state(scheme.kernel, _distance_shells(dsub, counts, G, h, q),
+                              scheme.bandwidth)
         for s in range(len(locs)):
             reach = np.isfinite(dsub[s])
             assert state["npos"][s] == counts[reach].sum()
@@ -279,6 +293,15 @@ def lattice_d():
     return graph_distances(lattice_graph(5))
 
 
+@pytest.fixture(scope="module")
+def plane_d():
+    """Euclidean distances between 30 points of a 5 x 5 square: all distinct,
+    so the bandwidth step takes the location pairs, and spread over (0, 7),
+    so the step and bisquare cutoffs of RATIO_CASES move between them."""
+    coords = np.random.default_rng(47).uniform(0.0, 5.0, size=(30, 2))
+    return euclidean_distances([f"p{i}" for i in range(30)], coords)
+
+
 def sweep_dataset(d, rows, p, seed, zero_at=None):
     """``rows`` rows at every location of ``d``; ``zero_at`` names a location
     whose rows get a zero second covariate."""
@@ -312,10 +335,10 @@ class TestSweepOracle:
         assert got.acceptance_rate_b == ref.acceptance_rate_b
         np.testing.assert_array_equal(got.proposal_scale, ref.proposal_scale)
 
-    @pytest.mark.parametrize("graph", ["china", "lattice"])
+    @pytest.mark.parametrize("graph", ["china", "lattice", "plane"])
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=list(SWEEP_CASES))
-    def test_exponential(self, china_d, lattice_d, graph, case):
-        d = china_d if graph == "china" else lattice_d
+    def test_exponential(self, request, graph, case):
+        d = request.getfixturevalue(f"{graph}_d")
         data = sweep_dataset(d, rows=5, p=5, seed=40)
         cfg = BayesConfig(tau2=0.01, chain_length=400, burn_in=200, seed=9,
                           **SWEEP_CASES[case])
@@ -332,7 +355,7 @@ class TestSweepOracle:
                           burn_in=200, seed=10)
         locs = data.unique_locations()
         G, h, q, counts = block_stats(data, locs)
-        state = _kernel_state(kernel, d.submatrix(locs), 0.75, counts, G, h, q)
+        state = _kernel_state(kernel, _location_pairs(d.submatrix(locs), counts, G, h, q), 0.75)
         mass = _gibbs_layout(state, cfg.alpha1)[4]
         assert not mass[1, locs.index(d.labels[3])] and mass.sum() == mass.size - 1
         self.assert_same_chain(data, d, kernel, cfg)
@@ -356,7 +379,8 @@ class TestSweepOracle:
                           seed=13)
         locs = data.unique_locations()
         G, h, q, counts = block_stats(data, locs)
-        state = _kernel_state(kernel, d.submatrix(locs), upper / 2.0, counts, G, h, q)
+        state = _kernel_state(kernel, _location_pairs(d.submatrix(locs), counts, G, h, q),
+                              upper / 2.0)
         assert not isinstance(_gibbs_layout(state, cfg.alpha1)[5], float)
         return data, d, kernel, cfg
 
@@ -404,13 +428,13 @@ RATIO_CASES = [("unity", 1.0, 2.0), ("step", 1.5, 3.5), ("exponential", 2.0, 5.0
 
 
 class TestShellMH:
-    """The bandwidth step's shell identities against the dense kernel state."""
+    """The bandwidth step's cell identities against full kernel states."""
 
-    @pytest.mark.parametrize("graph", ["china", "lattice"])
+    @pytest.mark.parametrize("graph", ["china", "lattice", "plane"])
     @pytest.mark.parametrize("kernel,b0,b1", RATIO_CASES,
                              ids=[f"{k}-{b0}-{b1}" for k, b0, b1 in RATIO_CASES])
-    def test_log_ratio_matches_dense_states(self, china_d, lattice_d, graph, kernel, b0, b1):
-        d = china_d if graph == "china" else lattice_d
+    def test_log_ratio_matches_dense_states(self, request, graph, kernel, b0, b1):
+        d = request.getfixturevalue(f"{graph}_d")
         data = sweep_dataset(d, rows=5, p=5, seed=42)
         locs = data.unique_locations()
         dsub = d.submatrix(locs)
@@ -420,17 +444,17 @@ class TestShellMH:
         sigma2 = rng.gamma(2.0, size=len(locs))
 
         def loglik(b):
-            state = _kernel_state(kernel, dsub, b, counts, G, h, q)
+            state = _kernel_state(kernel, _location_pairs(dsub, counts, G, h, q), b)
             return state, _total_loglik(state, _weighted_rss(state, beta), sigma2)
 
         (s0, ll0), (s1, ll1) = loglik(b0), loglik(b1)
         if kernel in ("step", "bisquare"):
             assert (s0["npos"] != s1["npos"]).any()
-        shells = _distance_shells(dsub, counts, G, h, q)
-        u = shells[1]
-        phi = np.empty(shells[2].shape[1:])
-        got = _shell_log_ratio(shells, _shell_weights(kernel, u, b0),
-                               _shell_weights(kernel, u, b1), beta.T.copy(), sigma2, phi)
+        # the layout the sampler takes: shells on the graphs, pairs on the plane
+        cells = _cell_layout(dsub, counts, G, h, q, True)
+        assert (cells.u.shape == dsub.shape) == (graph == "plane")
+        cur, prop = (_weighed_stats(kernel, cells, b) for b in (b0, b1))
+        got = _log_ratio(cur, prop, beta.T.copy(), sigma2, np.empty_like(cur[0]))
         assert got == pytest.approx(ll1 - ll0, rel=1e-9, abs=0)
 
     def test_sigma2_draw_reads_the_weighted_rss(self, china_d, monkeypatch):
@@ -459,8 +483,9 @@ class TestShellMH:
         G, h, q, counts = block_stats(data, locs)
         b_before = np.concatenate(([cfg.bandwidth_upper / 2.0], post.b[:-1]))
         for t, g in enumerate(variates):
-            state = _kernel_state("exponential", china_d.submatrix(locs), b_before[t],
-                                  counts, G, h, q)
+            state = _kernel_state("exponential",
+                                  _location_pairs(china_d.submatrix(locs), counts, G, h, q),
+                                  b_before[t])
             Q = 2.0 * (post.sigma2[t] * g - cfg.alpha2)
             np.testing.assert_allclose(Q, _weighted_rss(state, post.beta[t]), rtol=1e-9)
 
@@ -481,9 +506,10 @@ class TestShellMH:
                        locations=tuple(f"s{i % L}" for i in range(4 * L)))
         G, h, q, counts = block_stats(data, data.unique_locations())
         found = _distance_shells(dsub, counts, G, h, q)
-        np.testing.assert_array_equal(found[1], shells)
-        got = _shell_state(scheme.kernel, found, scheme.bandwidth)
-        ref = _kernel_state(scheme.kernel, dsub, scheme.bandwidth, counts, G, h, q)
+        np.testing.assert_array_equal(found.u, shells)
+        got = _kernel_state(scheme.kernel, found, scheme.bandwidth)
+        ref = _kernel_state(scheme.kernel, _location_pairs(dsub, counts, G, h, q),
+                            scheme.bandwidth)
         for field in ("npos", "sumlogw", "M", "V", "Kq"):
             scale = np.abs(ref[field]).max()
             assert np.abs(got[field] - ref[field]).max() <= 1e-12 * scale, field

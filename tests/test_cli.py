@@ -190,6 +190,18 @@ class TestCliCommands:
         assert "samples the bandwidth" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--prior-D", "inf"], "D must be positive and finite"),
+        (["--method", "freq", "--bandwidth", "nan"], "bandwidth must be positive")],
+        ids=["prior-D-inf", "freq-bandwidth-nan"])
+    def test_fit_rejects_non_finite_parameter(self, tmp_path, china, capsys, flags, message):
+        data = synthetic_dataset_file(tmp_path / "d.csv", china)
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data), "--out", str(out), "--kernel", "exponential",
+                     "--chain", "300", "--burnin", "100", *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_simulate_rejects_bandwidth(self, tmp_path, capsys, source):
         out = tmp_path / "sim"

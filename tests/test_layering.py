@@ -3,8 +3,9 @@
 ``bgwr.suffstats`` holds the dataset and its per-location sufficient
 statistics and sits below every model: it imports no other bgwr module, and
 the frequentist fit and the assessment take the statistics from it rather
-than from the sampler.  ``import bgwr`` loads numpy and the standard library
-only.
+than from the sampler.  It also owns the one packed layout of kernel-weighted
+statistics, which the sampler and the frequentist fit both weigh.
+``import bgwr`` loads numpy and the standard library only.
 """
 
 import ast
@@ -67,6 +68,29 @@ def test_no_file_takes_dataset_from_freq_gwr():
                     and isinstance(node.value, ast.Name) and node.value.id == "freq_gwr"):
                 offenders.append(path.name)
     assert offenders == []
+
+
+def identifiers(path):
+    """Every name, attribute and definition name in a file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_one_packed_layout_of_weighted_statistics():
+    packing = [path.name for path in sorted((ROOT / "src" / "bgwr").glob("*.py"))
+               if "triu_indices" in identifiers(path)]
+    assert packing == ["suffstats.py"]
+    for name in ("bayes_gwr", "freq_gwr"):
+        for function in ("packed_stats", "unpack"):
+            assert ("bgwr.suffstats", function) in imported(source(name)), (name, function)
+    assert [path.name for path in SOURCES if "weighted_blocks" in identifiers(path)] == []
 
 
 def test_import_loads_no_third_party_package_but_numpy():

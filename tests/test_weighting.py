@@ -20,8 +20,10 @@ class TestSchemeValidation:
             WeightScheme("exponential")
 
     def test_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError, match="positive"):
-            WeightScheme("gaussian", 0.0)
+        for kernel in ("exponential", "gaussian", "bisquare", "graph_exp"):
+            for b in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="positive"):
+                    WeightScheme(kernel, b)
 
     def test_step_allows_zero_threshold(self):
         s = WeightScheme("step", 0.0)
@@ -29,8 +31,9 @@ class TestSchemeValidation:
         assert kernel_weight(s, 1.0) == 0.0
 
     def test_step_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            WeightScheme("step", -1.0)
+        for b in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                WeightScheme("step", b)
 
 
 class TestKernelWeight:
