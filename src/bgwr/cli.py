@@ -1,12 +1,15 @@
 """Command-line entry point: fit, simulate, assess, distance.
 
 Flag values override config-file values, which override built-in defaults.
-Every run writes a ``manifest.txt`` echoing the resolved configuration; on
-failure, partial outputs from the run are removed and a diagnostic goes to
-standard error.
+Every run writes a ``manifest.txt`` echoing the resolved configuration.  A
+command validates its input before it creates its output directory, and
+writes every file inside one ``_outputs`` block: when anything in the block
+fails, the files it named are removed, so a failed run leaves no partial
+output, and a diagnostic goes to standard error with exit status 1.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -18,7 +21,7 @@ from .bayes_gwr import BayesConfig, posterior_summary, run_sampler
 from .freq_gwr import default_bandwidth_grid, fit_all_locations, select_bandwidth_grid
 from .simulation import (BASE_BETAS, REGIONAL_BETAS, SimulationDesign, run_study)
 from .spatial_graph import graph_distances
-from .weighting import WeightScheme
+from .weighting import KERNELS, WeightScheme
 
 DEFAULTS = {
     "kernel": "graph_exp",
@@ -37,23 +40,24 @@ DEFAULTS = {
 }
 
 
-class _OutputTracker:
-    """Records written files so a failed run can clean up after itself."""
+@contextlib.contextmanager
+def _outputs(outdir):
+    """Create ``outdir`` and yield a function that names a file in it; when
+    the block raises, remove every file so named."""
+    os.makedirs(outdir, exist_ok=True)
+    named = []
 
-    def __init__(self, outdir):
-        self.outdir = outdir
-        self.files = []
-        os.makedirs(outdir, exist_ok=True)
+    def path(name):
+        named.append(os.path.join(outdir, name))
+        return named[-1]
 
-    def path(self, name):
-        p = os.path.join(self.outdir, name)
-        self.files.append(p)
-        return p
-
-    def cleanup(self):
-        for p in self.files:
+    try:
+        yield path
+    except Exception:
+        for p in named:
             if os.path.exists(p):
                 os.remove(p)
+        raise
 
 
 def _resolve(args, config):
@@ -88,12 +92,11 @@ def _bayes_config(rc):
                        seed=rc["seed"])
 
 
-def _manifest(out, rc, extra=None):
-    mapping = dict(rc)
-    mapping = {k: ("" if v is None else v) for k, v in mapping.items()}
+def _manifest(path, rc, extra=None):
+    mapping = {k: ("" if v is None else v) for k, v in rc.items()}
     if extra:
         mapping.update(extra)
-    dataio.write_keyvalues(out.path("manifest.txt"), mapping)
+    dataio.write_keyvalues(path("manifest.txt"), mapping)
 
 
 def _require_finite(what, locations=None, **fields):
@@ -117,15 +120,11 @@ def _require_finite(what, locations=None, **fields):
 def cmd_distance(args, rc):
     graph = _load_graph(args)
     d = graph_distances(graph)
-    out = _OutputTracker(args.out)
-    try:
-        d.to_csv(out.path("graph_distance.csv"))
-        _manifest(out, {"command": "distance",
-                        "adjacency": args.adjacency or "<packaged China graph>",
-                        "vertices": graph.n})
-    except Exception:
-        out.cleanup()
-        raise
+    with _outputs(args.out) as path:
+        d.to_csv(path("graph_distance.csv"))
+        _manifest(path, {"command": "distance",
+                         "adjacency": args.adjacency or "<packaged China graph>",
+                         "vertices": graph.n})
     return 0
 
 
@@ -140,9 +139,8 @@ def cmd_fit(args, rc):
     unknown = set(data.locations) - set(graph.vertices)
     if unknown:
         raise ValueError(f"dataset locations not in the graph: {sorted(unknown)}")
-    out = _OutputTracker(args.out)
     manifest = {"command": "fit", "data": args.data, "n": data.n, "p": data.p}
-    try:
+    with _outputs(args.out) as path:
         if rc["method"] == "freq":
             if rc["bandwidth"] is not None:
                 b_star = rc["bandwidth"]
@@ -152,10 +150,10 @@ def cmd_fit(args, rc):
                 b_star, table = select_bandwidth_grid(data, rc["kernel"], d, grid)
             fit = fit_all_locations(data, WeightScheme(rc["kernel"], b_star), d)
             _require_finite("coefficient estimate", fit.locations, beta_hat=fit.beta_hat)
-            dataio.write_coefficients(out.path("coefficients.csv"), fit)
+            dataio.write_coefficients(path("coefficients.csv"), fit)
             if table:
-                dataio.write_sse_table(out.path("sse_grid.csv"), table)
-            dataio.write_keyvalues(out.path("summary.txt"), {
+                dataio.write_sse_table(path("sse_grid.csv"), table)
+            dataio.write_keyvalues(path("summary.txt"), {
                 "bandwidth": float(b_star), "sse": float(fit.sse),
                 "effective_params": float(fit.effective_params)})
         else:
@@ -165,17 +163,14 @@ def cmd_fit(args, rc):
             _require_finite("posterior summary", summ.locations, sigma2_mean=summ.sigma2_mean,
                             beta_mean=summ.beta_mean, hpd_lower=summ.hpd_lower,
                             hpd_upper=summ.hpd_upper)
-            dataio.write_posterior_summary(out.path("posterior_summary.csv"), summ)
-            dataio.write_gamma_table(out.path("gamma_inclusion.csv"), summ)
-            dataio.write_b_trace(out.path("b_trace.csv"), post)
+            dataio.write_posterior_summary(path("posterior_summary.csv"), summ)
+            dataio.write_gamma_table(path("gamma_inclusion.csv"), summ)
+            dataio.write_b_trace(path("b_trace.csv"), post)
             if args.dump_chains:
-                dataio.write_chains(out.path("chains.csv"), post)
+                dataio.write_chains(path("chains.csv"), post)
             manifest.update(mh_acceptance=post.acceptance_rate_b,
                             proposal_scale=post.proposal_scale)
-        _manifest(out, rc, manifest)
-    except Exception:
-        out.cleanup()
-        raise
+        _manifest(path, rc, manifest)
     return 0
 
 
@@ -197,17 +192,18 @@ def cmd_simulate(args, rc):
                               **kwargs)
     cfg = _bayes_config(rc)
     methods = tuple(args.methods.split(","))
-    out = _OutputTracker(args.out)
-    try:
-        report = run_study(design, d, rc["kernel"], cfg, methods=methods,
-                           with_assessment=args.with_assessment)
-        dataio.write_report(out.path("report.csv"), report)
-        _manifest(out, rc, {"command": "simulate", "design": args.design,
-                            "setting": setting, "replicates": args.replicates,
-                            "replicates_done": report.replicates_done})
-    except Exception:
-        out.cleanup()
-        raise
+    report = run_study(design, d, rc["kernel"], cfg, methods=methods,
+                       with_assessment=args.with_assessment)
+    if not report.replicates_done:
+        r, msg = report.errors[0]
+        raise ValueError(f"no replicate completed; replicate {r} failed with {msg}")
+    columns, scalars = report.scores()
+    _require_finite("simulation score", **columns, **scalars)
+    with _outputs(args.out) as path:
+        dataio.write_report(path("report.csv"), report)
+        _manifest(path, rc, {"command": "simulate", "design": args.design,
+                             "setting": setting, "replicates": args.replicates,
+                             "replicates_done": report.replicates_done})
     return 0
 
 
@@ -219,25 +215,19 @@ def cmd_assess(args, rc):
     unknown = set(post.locations) - set(graph.vertices)
     if unknown:
         raise ValueError(f"chain locations not in the graph: {sorted(unknown)}")
-    out = _OutputTracker(args.out)
-    try:
+    with _outputs(args.out) as path:
         a = assess(post, data)
         _require_finite("assessment", dic=a.dic, p_d=a.p_d, lpml=a.lpml,
                         mean_deviance=a.mean_deviance,
                         deviance_at_mean=a.deviance_at_mean, log_cpo=a.log_cpo)
-        dataio.write_keyvalues(out.path("assessment.csv"), {
+        dataio.write_keyvalues(path("assessment.csv"), {
             "dic": a.dic, "p_d": a.p_d, "lpml": a.lpml,
             "mean_deviance": a.mean_deviance,
             "deviance_at_mean": a.deviance_at_mean})
-        with open(out.path("cpo.csv"), "w") as fh:
-            fh.write("observation,cpo,log_cpo\n")
-            for i, (c, lc) in enumerate(zip(a.cpo, a.log_cpo)):
-                fh.write(f"{i},{dataio.fmt(float(c))},{dataio.fmt(float(lc))}\n")
-        _manifest(out, rc, {"command": "assess", "chains": args.chains,
-                            "data": args.data})
-    except Exception:
-        out.cleanup()
-        raise
+        dataio.write_table(path("cpo.csv"), ["observation", "cpo", "log_cpo"],
+                           dataio.labelled_rows(range(len(a.cpo)), a.cpo, a.log_cpo))
+        _manifest(path, rc, {"command": "assess", "chains": args.chains,
+                             "data": args.data})
     return 0
 
 
@@ -250,8 +240,7 @@ def build_parser():
     def common(sp):
         sp.add_argument("--adjacency", help="adjacency file (default: packaged China graph)")
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--kernel", choices=("unity", "step", "exponential",
-                                             "gaussian", "bisquare", "graph_exp"))
+        sp.add_argument("--kernel", choices=KERNELS)
         sp.add_argument("--bandwidth", type=float)
         sp.add_argument("--prior-D", dest="prior_D", type=float)
         sp.add_argument("--chain", type=int)

@@ -9,7 +9,8 @@ File formats:
 * config: flat ``key = value`` lines, ``#`` comments, mirroring CLI flags.
 
 Floats are serialized with 17 significant digits so a written value
-round-trips exactly.
+round-trips exactly.  Every result table goes through ``write_table`` except
+the chain dump, whose tens of thousands of rows take a ``%``-format path.
 """
 
 import importlib.resources
@@ -119,45 +120,42 @@ def parse_dataset(path, standardize=False, log_response=False):
     return Dataset(y=y, X=X, locations=locations)
 
 
-def write_dataset(path, data):
-    p = data.p
+def write_table(path, header, rows):
+    """CSV: the header line, then one line per row, each field through ``fmt``."""
     with open(path, "w") as fh:
-        fh.write("location,y," + ",".join(f"x{j + 1}" for j in range(p)) + "\n")
-        for i in range(data.n):
-            row = [data.locations[i], fmt(float(data.y[i]))]
-            row += [fmt(float(v)) for v in data.X[i]]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+
+
+def labelled_rows(labels, *arrays):
+    """Rows ``[label, *values]``: each array has one row, (n,) or (n, k), per
+    label, and gives its values as Python floats in column order."""
+    values = np.column_stack(arrays).astype(float).tolist()
+    return [[label, *row] for label, row in zip(labels, values)]
+
+
+def write_dataset(path, data):
+    write_table(path, ["location", "y"] + [f"x{j + 1}" for j in range(data.p)],
+                labelled_rows(data.locations, data.y, data.X))
 
 
 def write_posterior_summary(path, summary):
-    p = summary.beta_mean.shape[1]
-    cols = ["location", "sigma2_mean"]
-    for j in range(p):
-        cols += [f"beta_{j + 1}_mean", f"beta_{j + 1}_hpd_lower", f"beta_{j + 1}_hpd_upper"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, s in enumerate(summary.locations):
-            row = [s, fmt(float(summary.sigma2_mean[k]))]
-            for j in range(p):
-                row += [fmt(float(summary.beta_mean[k, j])),
-                        fmt(float(summary.hpd_lower[k, j])),
-                        fmt(float(summary.hpd_upper[k, j]))]
-            fh.write(",".join(row) + "\n")
+    L, p = summary.beta_mean.shape
+    header = ["location", "sigma2_mean"] + [f"beta_{j + 1}_{stat}" for j in range(p)
+                                            for stat in ("mean", "hpd_lower", "hpd_upper")]
+    beta = np.stack((summary.beta_mean, summary.hpd_lower, summary.hpd_upper), axis=2)
+    write_table(path, header,
+                labelled_rows(summary.locations, summary.sigma2_mean, beta.reshape(L, 3 * p)))
 
 
 def write_gamma_table(path, summary):
-    with open(path, "w") as fh:
-        fh.write("covariate,inclusion_frequency,selected\n")
-        for j, freq in enumerate(summary.inclusion_freq):
-            sel = 1 if (j + 1) in summary.selected else 0
-            fh.write(f"x{j + 1},{fmt(float(freq))},{sel}\n")
+    freqs = np.asarray(summary.inclusion_freq, dtype=float).tolist()
+    write_table(path, ["covariate", "inclusion_frequency", "selected"],
+                [[f"x{j + 1}", f, int(j + 1 in summary.selected)] for j, f in enumerate(freqs)])
 
 
 def write_b_trace(path, post):
-    with open(path, "w") as fh:
-        fh.write("draw,b\n")
-        for t, b in enumerate(post.b):
-            fh.write(f"{t},{fmt(float(b))}\n")
+    write_table(path, ["draw", "b"], enumerate(np.asarray(post.b, dtype=float).tolist()))
 
 
 def write_chains(path, post):
@@ -227,36 +225,22 @@ def read_chains(path):
 
 
 def write_coefficients(path, fit):
-    p = fit.beta_hat.shape[1]
-    with open(path, "w") as fh:
-        fh.write("location," + ",".join(f"beta_{j + 1}" for j in range(p)) + "\n")
-        for k, s in enumerate(fit.locations):
-            fh.write(s + "," + ",".join(fmt(float(v)) for v in fit.beta_hat[k]) + "\n")
+    write_table(path, ["location"] + [f"beta_{j + 1}" for j in range(fit.beta_hat.shape[1])],
+                labelled_rows(fit.locations, fit.beta_hat))
 
 
 def write_sse_table(path, table):
-    with open(path, "w") as fh:
-        fh.write("bandwidth,sse\n")
-        for b, sse in table:
-            fh.write(f"{fmt(float(b))},{fmt(float(sse))}\n")
+    write_table(path, ["bandwidth", "sse"], [[float(b), float(sse)] for b, sse in table])
 
 
 def write_report(path, report):
-    with open(path, "w") as fh:
-        fh.write("coefficient,mab,msd,mmse,mcr,acc\n")
-        for j, name in enumerate(report.coefficients):
-            fh.write(",".join([name, fmt(float(report.mab[j])), fmt(float(report.msd[j])),
-                               fmt(float(report.mmse[j])), fmt(float(report.mcr[j])),
-                               fmt(float(report.acc[j]))]) + "\n")
-        fh.write(f"model_acc,{fmt(float(report.model_acc))}\n")
-        if report.mean_bandwidth is not None:
-            fh.write(f"mean_bandwidth,{fmt(float(report.mean_bandwidth))}\n")
-        for attr in ("mean_p_d", "mean_dic", "mean_lpml", "freq_effective_params"):
-            v = getattr(report, attr)
-            if v is not None:
-                fh.write(f"{attr},{fmt(float(v))}\n")
-        for r, msg in report.errors:
-            fh.write(f"error_replicate_{r},{msg}\n")
+    """Per-coefficient scores, then one ``name,value`` line per scalar score
+    and per failed replicate, of the methods the study scored."""
+    columns, scalars = report.scores()
+    rows = labelled_rows(report.coefficients, *columns.values())
+    rows += [[name, float(v)] for name, v in scalars.items()]
+    rows += [[f"error_replicate_{r}", msg] for r, msg in report.errors]
+    write_table(path, ["coefficient", *columns], rows)
 
 
 def write_keyvalues(path, mapping):

@@ -11,7 +11,12 @@ Estimates are scored per coefficient by mean absolute bias (MAB), mean
 standard deviation over replicates (MSD), mean of mean squared error (MMSE),
 and mean 95% HPD coverage rate (MCR), each computed per location first and
 then averaged over locations.  Selection is scored by per-covariate accuracy
-(ACC) and exact-support recovery (Model ACC).
+(ACC) and exact-support recovery (Model ACC).  The frequentist baseline's
+estimates are scored by the same MAB, MSD and MMSE.
+
+A study makes one pass over its replicates: each generates its data, fits
+every requested method and, when all of them succeed, adds one row per
+method to that method's scores.
 """
 
 from dataclasses import dataclass, field, replace
@@ -59,6 +64,8 @@ class SimulationDesign:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
+        if not self.replicates >= 1:
+            raise ValueError(f"a study needs at least one replicate, got {self.replicates!r}")
         self.base_beta = tuple(float(v) for v in self.base_beta)
         if self.pattern == "regional" and (self.regions is None or self.region_betas is None):
             raise ValueError("regional pattern requires regions and region_betas")
@@ -87,6 +94,23 @@ class SimulationReport:
     freq_effective_params: float = None
     errors: list = field(default_factory=list)
     replicates_done: int = 0
+
+    def scores(self):
+        """The scores of the methods the study scored, by name: the
+        per-coefficient arrays, then the scalars that are set.  A
+        frequentist-only study leaves the Bayesian arrays NaN and
+        mean_bandwidth unset, so they are left out."""
+        freq = self.freq_mab is not None
+        columns, scalars = [], []
+        if not freq or self.mean_bandwidth is not None:
+            columns += ["mab", "msd", "mmse", "mcr", "acc"]
+            scalars += ["model_acc"]
+        if freq:
+            columns += ["freq_mab", "freq_msd", "freq_mmse"]
+        scalars += [name for name in ("mean_bandwidth", "mean_p_d", "mean_dic", "mean_lpml",
+                                      "freq_effective_params") if getattr(self, name) is not None]
+        return ({name: getattr(self, name) for name in columns},
+                {name: getattr(self, name) for name in scalars})
 
 
 def true_beta(design, locations, embedding=None):
@@ -129,6 +153,16 @@ def generate_dataset(design, locations, true_betas, replicate_seed):
     return Dataset(y=y, X=X, locations=locs)
 
 
+def _accuracy(est, truth):
+    """(MAB, MSD, MMSE) per coefficient of (R, L, p) estimates against the
+    (L, p) truth, each averaged over locations; MSD is 0 for one replicate."""
+    err = est - truth[None]
+    mab = np.abs(err).mean(axis=0).mean(axis=0)
+    mmse = (err ** 2).mean(axis=0).mean(axis=0)
+    msd = est.std(axis=0, ddof=1).mean(axis=0) if len(est) > 1 else np.zeros(est.shape[2])
+    return mab, msd, mmse
+
+
 def metrics(estimates, hpd_lower, hpd_upper, selected, true_betas):
     """Score replicate estimates against the truth.
 
@@ -147,13 +181,7 @@ def metrics(estimates, hpd_lower, hpd_upper, selected, true_betas):
     if sel.shape != (R, p):
         raise ValueError("selected shape mismatch")
 
-    err = est - truth[None, :, :]
-    mab = np.abs(err).mean(axis=0).mean(axis=0)
-    mmse = (err ** 2).mean(axis=0).mean(axis=0)
-    if R > 1:
-        msd = est.std(axis=0, ddof=1).mean(axis=0)
-    else:
-        msd = np.zeros(p)
+    mab, msd, mmse = _accuracy(est, truth)
     covered = (np.asarray(hpd_lower) <= truth[None]) & (truth[None] <= np.asarray(hpd_upper))
     mcr = covered.mean(axis=0).mean(axis=0)
 
@@ -174,23 +202,29 @@ def replicate_seed(master_seed, replicate, stream):
 
 def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
               freq_grid=None):
-    """Generate -> fit -> summarize -> score over all replicates.
+    """Generate -> fit -> summarize -> score, in one pass over the replicates.
 
-    ``kernel`` is a kernel name.  Replicate r draws its data from substream
-    (seed, r, 0) and its chain from (seed, r, 1), so the study is
-    deterministic given the master seed.
-    Failed replicates are recorded in the report's ``errors`` list, never
-    silently dropped.
+    ``kernel`` is a kernel name and ``methods`` a non-empty subset of
+    ("bayes", "freq").  Replicate r draws its data from substream (seed, r, 0)
+    and its chain from (seed, r, 1), so the study is deterministic given the
+    master seed.  The frequentist baseline selects its bandwidth from
+    ``freq_grid``, by default ``default_bandwidth_grid(d)``.
+    A replicate whose fit fails in any method is scored by none and recorded
+    in the report's ``errors`` list, never silently dropped.
     """
+    if not methods or set(methods) - {"bayes", "freq"}:
+        raise ValueError(f"methods must be a non-empty subset of ('bayes', 'freq'), "
+                         f"got {tuple(methods)!r}")
     locations = tuple(d.labels)
     embedding = mds_embed(d) if design.pattern == "mds_linear" else None
     truth = true_beta(design, locations, embedding)
-    L, p = truth.shape
+    p = truth.shape[1]
+    if "freq" in methods and freq_grid is None:
+        freq_grid = default_bandwidth_grid(d)
 
-    def one_replicate(r):
-        data = generate_dataset(design, locations, truth,
-                                replicate_seed(design.seed, r, 0))
-        out = {}
+    bayes_rows, freq_rows, errors = [], [], []
+    for r in range(design.replicates):
+        data = generate_dataset(design, locations, truth, replicate_seed(design.seed, r, 0))
         try:
             if "bayes" in methods:
                 rcfg = replace(cfg, seed=replicate_seed(design.seed, r, 1))
@@ -198,68 +232,37 @@ def run_study(design, d, kernel, cfg, methods=("bayes",), with_assessment=False,
                 summ = posterior_summary(post)
                 sel = np.zeros(p, dtype=bool)
                 sel[[j - 1 for j in summ.selected]] = True
-                out["bayes"] = (summ.beta_mean, summ.hpd_lower, summ.hpd_upper,
-                                sel, summ.b_mean)
+                bayes_row = (summ.beta_mean, summ.hpd_lower, summ.hpd_upper, sel, summ.b_mean)
                 if with_assessment:
                     a = assessment.assess(post, data)
-                    out["assessment"] = (a.p_d, a.dic, a.lpml)
+                    bayes_row += (a.p_d, a.dic, a.lpml)
+                del post  # free the draws before the next replicate samples its own
             if "freq" in methods:
-                grid = freq_grid if freq_grid is not None else default_bandwidth_grid(d)
-                b_star, _ = select_bandwidth_grid(data, kernel, d, grid)
+                b_star, _ = select_bandwidth_grid(data, kernel, d, freq_grid)
                 fit = fit_all_locations(data, WeightScheme(kernel, b_star), d)
-                out["freq"] = (fit.beta_hat, fit.effective_params)
         except Exception as exc:  # surfaced per replicate in the report
-            out["error"] = f"{type(exc).__name__}: {exc}"
-        return out
-
-    results = [one_replicate(r) for r in range(design.replicates)]
-
-    estimates, lowers, uppers, selected, b_means = [], [], [], [], []
-    p_ds, dics, lpmls = [], [], []
-    f_est, f_enp = [], []
-    errors = []
-    for r, res in enumerate(results):
-        if "error" in res:
-            errors.append((r, res["error"]))
+            errors.append((r, f"{type(exc).__name__}: {exc}"))
             continue
-        if "bayes" in res:
-            bm, lo, up, sel, b_mean = res["bayes"]
-            estimates.append(bm)
-            lowers.append(lo)
-            uppers.append(up)
-            selected.append(sel)
-            b_means.append(b_mean)
-        if "assessment" in res:
-            pd_, dic_, lpml_ = res["assessment"]
-            p_ds.append(pd_)
-            dics.append(dic_)
-            lpmls.append(lpml_)
-        if "freq" in res:
-            bh, enp = res["freq"]
-            f_est.append(bh)
-            f_enp.append(enp)
+        if "bayes" in methods:
+            bayes_rows.append(bayes_row)
+        if "freq" in methods:
+            freq_rows.append((fit.beta_hat, fit.effective_params))
 
-    if "bayes" in methods and estimates:
-        report = metrics(np.array(estimates), np.array(lowers), np.array(uppers),
-                         np.array(selected), truth)
+    if bayes_rows:
+        est, lower, upper, selected, b_means, *assessed = map(np.array, zip(*bayes_rows))
+        report = metrics(est, lower, upper, selected, truth)
         report.mean_bandwidth = float(np.mean(b_means))
         if with_assessment:
-            report.mean_p_d = float(np.mean(p_ds))
-            report.mean_dic = float(np.mean(dics))
-            report.mean_lpml = float(np.mean(lpmls))
+            report.mean_p_d, report.mean_dic, report.mean_lpml = (float(np.mean(v))
+                                                                  for v in assessed)
     else:
-        names = tuple(f"x{j + 1}" for j in range(p))
         z = np.full(p, np.nan)
-        report = SimulationReport(coefficients=names, mab=z, msd=z.copy(),
-                                  mmse=z.copy(), mcr=z.copy(), acc=z.copy(),
+        report = SimulationReport(coefficients=tuple(f"x{j + 1}" for j in range(p)), mab=z,
+                                  msd=z.copy(), mmse=z.copy(), mcr=z.copy(), acc=z.copy(),
                                   model_acc=float("nan"))
-    if "freq" in methods and f_est:
-        f = np.array(f_est)
-        err = f - truth[None]
-        report.freq_mab = np.abs(err).mean(axis=0).mean(axis=0)
-        report.freq_mmse = (err ** 2).mean(axis=0).mean(axis=0)
-        report.freq_msd = (f.std(axis=0, ddof=1).mean(axis=0)
-                           if f.shape[0] > 1 else np.zeros(p))
+    if freq_rows:
+        f_est, f_enp = zip(*freq_rows)
+        report.freq_mab, report.freq_msd, report.freq_mmse = _accuracy(np.array(f_est), truth)
         report.freq_effective_params = float(np.mean(f_enp))
     report.errors = errors
     report.replicates_done = design.replicates - len(errors)

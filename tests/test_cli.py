@@ -6,10 +6,12 @@ import pytest
 
 from bgwr import cli, dataio
 from bgwr.assessment import assess
-from bgwr.bayes_gwr import BayesConfig, GwrPosterior, run_sampler
+from bgwr.bayes_gwr import BayesConfig, GwrPosterior, PosteriorSummary, run_sampler
 from bgwr.cli import DEFAULTS, _resolve, build_parser, main
 from bgwr.freq_gwr import FreqFit
+from bgwr.simulation import SimulationReport
 from bgwr.spatial_graph import DistanceMatrix, graph_distances
+from bgwr.suffstats import Dataset
 
 
 def write_lines(path, lines):
@@ -215,6 +217,75 @@ class TestCliCommands:
         assert main(args) == 1
         assert "--bandwidth does not apply to simulate" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--methods", "baye"], "methods must be a non-empty subset"),
+        (["--methods", ""], "methods must be a non-empty subset"),
+        (["--replicates", "0"], "at least one replicate")],
+        ids=["methods-baye", "methods-empty", "replicates-0"])
+    def test_simulate_rejects_a_study_that_cannot_run(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", "constant", "--setting", "1", "--replicates", "1",
+                     "--chain", "60", "--burnin", "20", "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", ["freq", "bayes,freq"])
+    def test_simulate_reports_frequentist_scores(self, tmp_path, methods):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", "constant", "--setting", "1", "--replicates", "2",
+                     "--chain", "300", "--burnin", "100", "--kernel", "exponential",
+                     "--methods", methods, "--out", str(out)]) == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        bayes = ["mab", "msd", "mmse", "mcr", "acc"] if "bayes" in methods else []
+        assert header == ["coefficient", *bayes, "freq_mab", "freq_msd", "freq_mmse"]
+        table = np.array([line.split(",")[1:] for line in lines[1:6]], dtype=float)
+        freq_mab = table[:, header.index("freq_mab") - 1]
+        assert np.all(np.isfinite(freq_mab)) and np.all(freq_mab > 0)
+        names = [line.split(",")[0] for line in lines[6:]]
+        bayes_lines = ["model_acc", "mean_bandwidth"] if bayes else []
+        assert names == bayes_lines + ["freq_effective_params"]
+
+    def test_simulate_refuses_a_study_that_produced_nothing(self, tmp_path, capsys, monkeypatch):
+        def failed_study(design, *args, **kwargs):
+            nan = np.full(5, np.nan)
+            return SimulationReport(coefficients=("x1", "x2", "x3", "x4", "x5"), mab=nan,
+                                    msd=nan, mmse=nan, mcr=nan, acc=nan, model_acc=np.nan,
+                                    errors=[(0, "SingularSystemError: first"),
+                                            (1, "SingularSystemError: second")],
+                                    replicates_done=0)
+
+        monkeypatch.setattr(cli, "run_study", failed_study)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", "constant", "--setting", "1", "--replicates", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no replicate completed; replicate 0 failed with SingularSystemError: first" in err
+        assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("field", ["mab", "mcr", "model_acc", "mean_lpml", "freq_msd",
+                                       "freq_effective_params"])
+    def test_simulate_refuses_non_finite_scores(self, tmp_path, capsys, monkeypatch, field):
+        def study(design, *args, **kwargs):
+            ones = np.ones(5)
+            report = SimulationReport(coefficients=("x1", "x2", "x3", "x4", "x5"), mab=ones,
+                                      msd=ones, mmse=ones, mcr=ones, acc=ones, model_acc=1.0,
+                                      mean_bandwidth=2.0, mean_p_d=3.0, mean_dic=4.0,
+                                      mean_lpml=-5.0, freq_mab=ones, freq_msd=ones,
+                                      freq_mmse=ones, freq_effective_params=6.0,
+                                      replicates_done=2)
+            value = getattr(report, field)
+            setattr(report, field, np.where(np.arange(5) == 2, np.nan, value)
+                    if isinstance(value, np.ndarray) else np.nan)
+            return report
+
+        monkeypatch.setattr(cli, "run_study", study)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", "constant", "--setting", "1", "--replicates", "2",
+                     "--methods", "bayes,freq", "--with-assessment", "--out", str(out)]) == 1
+        assert f"bgwr: error: non-finite simulation score: {field}\n" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
     def test_same_seed_byte_identical(self, tmp_path, china):
         data = synthetic_dataset_file(tmp_path / "d.csv", china)
@@ -501,3 +572,152 @@ class TestCliCommands:
         write_lines(path, lines)
         with pytest.raises(ValueError):
             dataio.read_chains(path)
+
+
+def g17(v):
+    return format(float(v), ".17g")
+
+
+def edge_values(shape, seed, edges=(np.inf, -np.inf, np.nan, 1.7e308, -2.5e-300)):
+    """Floats over ten decades with the edge values scattered among them."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    flat = rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size=size)
+    flat[:len(edges)] = edges
+    return rng.permutation(flat).reshape(shape)
+
+
+def expected_bytes(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriterOracles:
+    """Byte-level oracles for the CSV writers: every field of every line built
+    on its own with format(v, '.17g'), as the chain-dump oracle does."""
+
+    LABELS = ("a", "b b", "c-1")
+
+    def test_dataset(self, tmp_path):
+        # a Dataset holds finite values only: its extremes are the edges here
+        X = edge_values((6, 2), 1, edges=(1.7e308, -2.5e-300, -0.0))
+        y = edge_values((6,), 2, edges=(-1.7e308, 2.5e-300))
+        locations = ("a", "b b", "c-1", "a", "b b", "c-1")
+        dataio.write_dataset(tmp_path / "d.csv", Dataset(y=y, X=X, locations=locations))
+        lines = ["location,y,x1,x2"]
+        lines += [",".join([s, g17(y[i]), g17(X[i, 0]), g17(X[i, 1])])
+                  for i, s in enumerate(locations)]
+        assert (tmp_path / "d.csv").read_bytes() == expected_bytes(lines)
+
+    def summary(self):
+        L, p = len(self.LABELS), 2
+        return PosteriorSummary(locations=self.LABELS, beta_mean=edge_values((L, p), 3),
+                                sigma2_mean=edge_values((L,), 4, edges=(np.nan, 1.7e308)),
+                                hpd_lower=edge_values((L, p), 5),
+                                hpd_upper=edge_values((L, p), 6),
+                                inclusion_freq=np.array([1.0, 2.5e-300, np.nan]),
+                                selected=(1, 3), b_mean=np.inf)
+
+    def test_posterior_summary(self, tmp_path):
+        s = self.summary()
+        dataio.write_posterior_summary(tmp_path / "s.csv", s)
+        lines = ["location,sigma2_mean,beta_1_mean,beta_1_hpd_lower,beta_1_hpd_upper,"
+                 "beta_2_mean,beta_2_hpd_lower,beta_2_hpd_upper"]
+        for k, loc in enumerate(s.locations):
+            row = [loc, g17(s.sigma2_mean[k])]
+            for j in range(2):
+                row += [g17(s.beta_mean[k, j]), g17(s.hpd_lower[k, j]), g17(s.hpd_upper[k, j])]
+            lines.append(",".join(row))
+        assert (tmp_path / "s.csv").read_bytes() == expected_bytes(lines)
+
+    def test_gamma_table(self, tmp_path):
+        dataio.write_gamma_table(tmp_path / "g.csv", self.summary())
+        lines = ["covariate,inclusion_frequency,selected",
+                 "x1,1,1", f"x2,{g17(2.5e-300)},0", "x3,nan,1"]
+        assert (tmp_path / "g.csv").read_bytes() == expected_bytes(lines)
+
+    def test_b_trace(self, tmp_path):
+        b = edge_values((12,), 7)
+        post = GwrPosterior(locations=("a",), beta=np.zeros((12, 1, 1)), sigma2=np.ones((12, 1)),
+                            gamma=np.ones((12, 1), dtype=int), b=b, acceptance_rate_b=0.5,
+                            proposal_scale=1.0)
+        dataio.write_b_trace(tmp_path / "b.csv", post)
+        lines = ["draw,b"] + [f"{t},{g17(v)}" for t, v in enumerate(b)]
+        assert (tmp_path / "b.csv").read_bytes() == expected_bytes(lines)
+
+    def test_coefficients(self, tmp_path):
+        beta = edge_values((3, 3), 8)
+        fit = FreqFit(locations=self.LABELS, beta_hat=beta, sse=1.0, effective_params=3.0)
+        dataio.write_coefficients(tmp_path / "c.csv", fit)
+        lines = ["location,beta_1,beta_2,beta_3"]
+        lines += [",".join([s] + [g17(v) for v in beta[k]]) for k, s in enumerate(self.LABELS)]
+        assert (tmp_path / "c.csv").read_bytes() == expected_bytes(lines)
+
+    def test_sse_table(self, tmp_path):
+        values = edge_values((6, 2), 9)
+        table = [(np.float64(b), float(sse)) for b, sse in values]
+        dataio.write_sse_table(tmp_path / "t.csv", table)
+        lines = ["bandwidth,sse"] + [f"{g17(b)},{g17(sse)}" for b, sse in values]
+        assert (tmp_path / "t.csv").read_bytes() == expected_bytes(lines)
+
+    def test_bayes_report(self, tmp_path):
+        scores = edge_values((5, 3), 10)
+        report = SimulationReport(coefficients=("x1", "x2", "x3"), mab=scores[0],
+                                  msd=scores[1], mmse=scores[2], mcr=scores[3],
+                                  acc=scores[4], model_acc=0.25, mean_bandwidth=1.7e308,
+                                  mean_p_d=-2.5e-300, mean_dic=np.inf, mean_lpml=np.nan,
+                                  errors=[(2, "ValueError: b b, c-1")], replicates_done=3)
+        dataio.write_report(tmp_path / "r.csv", report)
+        lines = ["coefficient,mab,msd,mmse,mcr,acc"]
+        lines += [",".join([f"x{j + 1}"] + [g17(v) for v in scores[:, j]]) for j in range(3)]
+        lines += ["model_acc,0.25", f"mean_bandwidth,{g17(1.7e308)}",
+                  f"mean_p_d,{g17(-2.5e-300)}", "mean_dic,inf", "mean_lpml,nan",
+                  "error_replicate_2,ValueError: b b, c-1"]
+        assert (tmp_path / "r.csv").read_bytes() == expected_bytes(lines)
+
+    @pytest.mark.parametrize("methods", ["freq", "bayes,freq"])
+    def test_report_holds_the_columns_of_each_method_that_ran(self, tmp_path, methods):
+        scores = edge_values((8, 2), 13)
+        nan = np.full(2, np.nan)
+        bayes = "bayes" in methods
+        report = SimulationReport(coefficients=("x1", "x2"),
+                                  **{name: scores[i] if bayes else nan for i, name in
+                                     enumerate(("mab", "msd", "mmse", "mcr", "acc"))},
+                                  model_acc=1.0 if bayes else np.nan,
+                                  mean_bandwidth=2.5 if bayes else None,
+                                  freq_mab=scores[5], freq_msd=scores[6], freq_mmse=scores[7],
+                                  freq_effective_params=-2.5e-300,
+                                  errors=[(0, "SingularSystemError: b-b")], replicates_done=1)
+        dataio.write_report(tmp_path / "r.csv", report)
+        used = range(0 if bayes else 5, 8)
+        header = ["mab", "msd", "mmse", "mcr", "acc", "freq_mab", "freq_msd", "freq_mmse"]
+        lines = [",".join(["coefficient"] + [header[i] for i in used])]
+        lines += [",".join([f"x{j + 1}"] + [g17(scores[i, j]) for i in used]) for j in range(2)]
+        lines += ["model_acc,1", "mean_bandwidth,2.5"] if bayes else []
+        lines += [f"freq_effective_params,{g17(-2.5e-300)}",
+                  "error_replicate_0,SingularSystemError: b-b"]
+        assert (tmp_path / "r.csv").read_bytes() == expected_bytes(lines)
+
+    def test_cpo_table(self, tmp_path, china, monkeypatch):
+        data_path = synthetic_dataset_file(tmp_path / "d.csv", china)
+        T, L, p = 2, china.n, 3
+        post = GwrPosterior(locations=tuple(china.vertices), beta=np.zeros((T, L, p)),
+                            sigma2=np.ones((T, L)), gamma=np.ones((T, p), dtype=int),
+                            b=np.ones(T), acceptance_rate_b=0.0, proposal_scale=np.nan)
+        chains = tmp_path / "chains.csv"
+        dataio.write_chains(chains, post)
+        cpo = edge_values((150,), 11)
+        # the CLI refuses a non-finite log CPO, so its edges are finite
+        log_cpo = edge_values((150,), 12, edges=(1.7e308, -2.5e-300, -1.7e308))
+
+        def edge_assess(*args):
+            a = assess(*args)
+            a.cpo, a.log_cpo = cpo, log_cpo
+            return a
+
+        monkeypatch.setattr(cli, "assess", edge_assess)
+        aout = tmp_path / "assess"
+        assert main(["assess", "--data", str(data_path), "--chains", str(chains),
+                     "--kernel", "exponential", "--out", str(aout)]) == 0
+        lines = ["observation,cpo,log_cpo"]
+        lines += [f"{i},{g17(c)},{g17(lc)}" for i, (c, lc) in enumerate(zip(cpo, log_cpo))]
+        assert (aout / "cpo.csv").read_bytes() == expected_bytes(lines)

@@ -102,3 +102,27 @@ def test_import_loads_no_third_party_package_but_numpy():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout.split()
     assert set(loaded) - set(sys.stdlib_module_names) - {"bgwr"} == {"numpy"}
+
+
+def test_cli_writes_through_dataio():
+    # every output file goes through dataio's writers or DistanceMatrix.to_csv
+    calls = [node for node in ast.walk(ast.parse(source("cli").read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open"]
+    assert calls == []
+
+
+def test_no_pool_era_or_tracker_copies():
+    for path in sorted((ROOT / "src" / "bgwr").glob("*.py")):
+        assert identifiers(path) & {"_OutputTracker", "one_replicate"} == set(), path.name
+
+
+def test_kernel_choices_are_the_weighting_kernels():
+    from bgwr.cli import build_parser
+    from bgwr.weighting import KERNELS
+
+    assert ("bgwr.weighting", "KERNELS") in imported(source("cli"))
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name, parser in commands.items():
+        kernel = next(a for a in parser._actions if a.dest == "kernel")
+        assert tuple(kernel.choices) == KERNELS, name

@@ -22,6 +22,11 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="regional"):
             SimulationDesign(pattern="regional", base_beta=(1.0,))
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_needs_a_replicate(self, replicates):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            constant_design(replicates=replicates)
+
 
 class TestTrueBeta:
     def test_constant_setting1(self):
@@ -183,6 +188,12 @@ class TestRunStudy:
         rep = run_study(design, d, "exponential", cfg, methods=("bayes", "freq"),
                         freq_grid=[1.0, 3.0])
         assert rep.freq_mab is not None and rep.freq_effective_params > 0
+
+    @pytest.mark.parametrize("methods", [(), ("baye",), ("bayes", "gwr")])
+    def test_rejects_unknown_or_no_methods(self, methods):
+        design, d, cfg = self.tiny_setup()
+        with pytest.raises(ValueError, match="non-empty subset"):
+            run_study(design, d, "exponential", cfg, methods=methods)
 
     def test_failed_replicates_recorded(self):
         _, d, cfg = self.tiny_setup()
